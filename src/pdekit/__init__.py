@@ -35,6 +35,6 @@ from .spectral_system import (SpectralSystem, assemble_system, certified_truncat
                               state_prep_q)
 from .stencil import (Stencil, apply_stencil, make_stencil, second_moment,
                       truncation_error_bound, verify_second_moment)
-from .transforms import UnitaryTransform, qct_apply, qct_matrix, qsft_apply, qsft_matrix
+from .transforms import qct_apply, qct_matrix, qsft_apply, qsft_matrix
 
 __version__ = "0.1.0"

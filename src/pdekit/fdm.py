@@ -25,8 +25,10 @@ import scipy.sparse.linalg as spla
 
 from .errors import CompatibilityError, ConvergenceFailure, ParameterError
 from .images import fold_vector, restrict
-from .laplacian import build_circulant, condition_number, eigenvalues_1d, kronecker_sum
+from .laplacian import (DENSE_LIMIT, build_circulant, condition_number, eigenvalues_1d,
+                        kronecker_sum)
 from .stencil import make_stencil
+from .tensor import axis_sum, kron_sum
 
 __all__ = [
     "FdmProblem",
@@ -85,7 +87,7 @@ class FdmSystem:
         p = self.problem
         if p.bc == "periodic":
             cube = np.asarray(u).reshape([2 * p.n] * p.d)
-            lam = _eig_sum(self.eig_axis, p.d) / p.h ** 2
+            lam = axis_sum(self.eig_axis, p.d) / p.h ** 2
             return np.fft.ifftn(lam * np.fft.fftn(cube)).real.reshape(-1)
         return self.matrix @ np.asarray(u)
 
@@ -143,17 +145,6 @@ def periodic_grid(n: int, d: int):
     return np.meshgrid(*[x] * d, indexing="ij")
 
 
-def _eig_sum(eig_axis: np.ndarray, d: int) -> np.ndarray:
-    """Kronecker-sum eigenvalue cube from the per-axis spectrum."""
-    out = 0.0
-    N = eig_axis.size
-    for j in range(d):
-        shape = [1] * d
-        shape[j] = N
-        out = out + eig_axis.reshape(shape)
-    return np.asarray(out)
-
-
 def assemble(p: FdmProblem) -> FdmSystem:
     """Sample the source on the lattice and attach the scaled operator.
 
@@ -161,12 +152,15 @@ def assemble(p: FdmProblem) -> FdmSystem:
     constant vector); violations beyond MEAN_RTOL * ||f|| are rejected.  For
     the reflection-restricted boundary conditions the source is sampled on
     the parent lattice and folded axis by axis into the symmetry sector.
+    Non-finite samples are rejected.
     """
     s = make_stencil(p.k)
     op = build_circulant(s, p.n)
     f = np.asarray(p.rhs_sampler(*periodic_grid(p.n, p.d)), dtype=float)
     if f.shape != tuple([2 * p.n] * p.d):
         raise ParameterError(f"sampler returned shape {f.shape}, expected {(2 * p.n,) * p.d}")
+    if not np.isfinite(f).all():
+        raise ParameterError("sampler returned non-finite source values")
     if p.bc == "periodic":
         scale = np.linalg.norm(f)
         mean = abs(f.mean()) * math.sqrt(f.size)
@@ -177,29 +171,21 @@ def assemble(p: FdmProblem) -> FdmSystem:
     restricted = restrict(s, p.n, p.bc)
     cube = f
     for axis in range(p.d):
-        cube = np.apply_along_axis(lambda v: fold_vector(v, p.bc), axis, cube)
+        cube = fold_vector(cube, p.bc, axis=axis)
     if p.bc == "neumann":
         scale = np.linalg.norm(cube)
         mean = abs(cube.mean()) * math.sqrt(cube.size)
         if scale > 0 and mean > MEAN_RTOL * scale:
             raise CompatibilityError(
                 f"neumann rhs has kernel component {mean:.3e} > {MEAN_RTOL:.0e} * ||f||")
-    A1 = sp.csr_matrix(restricted.matrix)
-    size = A1.shape[0]
-    total = sp.csr_matrix((size ** p.d, size ** p.d))
-    eye = sp.identity(size, format="csr")
-    for j in range(p.d):
-        term = sp.identity(1, format="csr")
-        for a in range(p.d):
-            term = sp.kron(term, A1 if a == j else eye, format="csr")
-        total = total + term
+    total = kron_sum(sp.csr_matrix(restricted.matrix), p.d)
     return FdmSystem(problem=p, rhs=cube.reshape(-1),
                      matrix=(total / p.h ** 2).tocsr())
 
 
 def _solve_eigen(system: FdmSystem) -> np.ndarray:
     p = system.problem
-    lam = _eig_sum(system.eig_axis, p.d) / p.h ** 2
+    lam = axis_sum(system.eig_axis, p.d) / p.h ** 2
     F = np.fft.fftn(system.rhs.reshape([2 * p.n] * p.d))
     zero = np.abs(lam) < 1e-14 * np.abs(lam).max()
     lam_safe = np.where(zero, 1.0, lam)
@@ -218,13 +204,13 @@ def _solve_cg(system: FdmSystem) -> tuple:
     size = system.rhs.size
     singular = p.bc in ("periodic", "neumann")
     if p.bc == "periodic":
-        lam = np.abs(_eig_sum(system.eig_axis, p.d).reshape(-1))
+        lam = np.abs(axis_sum(system.eig_axis, p.d).reshape(-1))
         lam = lam[lam > 1e-14 * lam.max()]
         kappa = float(lam.max() / lam.min())
         base = system.matvec
     else:
         base = system.matrix.__matmul__
-        if size <= 4096:
+        if size <= DENSE_LIMIT:
             ev = np.abs(np.linalg.eigvalsh(system.matrix.toarray()))
             kappa = float(ev.max() / ev[ev > 1e-12 * ev.max()].min())
         else:

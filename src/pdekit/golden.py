@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ParameterError
 from .spectral_ops import diff_matrix
 from .spectral_system import poisson_system
+from .tensor import kron_sum
 
 __all__ = ["GOLDEN_NAMES", "generate_golden", "reference_golden", "compare_goldens"]
 
@@ -36,9 +37,7 @@ GOLDEN_NAMES = (
 
 
 def _fourier_kron_open() -> np.ndarray:
-    D2 = diff_matrix("fourier", 2, 2).dense()
-    eye = np.eye(3)
-    return np.kron(D2, eye) + np.kron(eye, D2)
+    return kron_sum(diff_matrix("fourier", 2, 2).sparse, 2).toarray()
 
 
 def generate_golden(name: str) -> np.ndarray:

@@ -78,43 +78,48 @@ def restrict(s: Stencil, n: int, bc: str) -> RestrictedLaplacian:
 
 
 def _pairing(n: int, bc: str):
-    """Index pairs (i, mirror(i)) of the parent lattice, restricted order."""
+    """Index arrays (i, mirror(i)) of the parent lattice, restricted order."""
+    k = np.arange(n)
     if bc == "dirichlet_alt":
-        return [(i + 1, 2 * n + 1 - i) for i in range(n)]
-    return [(i, 2 * n - 1 - i) for i in range(n)]
+        return k + 1, 2 * n + 1 - k
+    return k, 2 * n - 1 - k
 
 
-def fold_vector(v: np.ndarray, bc: str, n: int | None = None, rtol: float = 1e-10) -> np.ndarray:
+def fold_vector(v: np.ndarray, bc: str, n: int | None = None, rtol: float = 1e-10,
+                axis: int = -1) -> np.ndarray:
     """Coordinates of v in the symmetry-sector basis (e_i + s e_mirror)/sqrt(2).
 
     v lives on the parent periodic lattice (2n sites, or 2n+2 for
-    dirichlet_alt, where the two reflection fixed points must be zero).
-    Raises SymmetryViolation when v has a component in the complementary
-    sector larger than rtol * ||v||.
+    dirichlet_alt, where the two reflection fixed points must be zero) along
+    the given axis; every fiber along that axis is folded.  Raises
+    SymmetryViolation when a fiber has a component in the complementary
+    sector larger than rtol * ||fiber||.
     """
     if bc not in _BCS:
         raise ParameterError(f"bc must be one of {_BCS}, got {bc!r}")
-    v = np.asarray(v, dtype=float)
+    v = np.moveaxis(np.asarray(v, dtype=float), axis, -1)
     if n is None:
-        n = (v.size - 2) // 2 if bc == "dirichlet_alt" else v.size // 2
+        n = (v.shape[-1] - 2) // 2 if bc == "dirichlet_alt" else v.shape[-1] // 2
     expected = 2 * n + (2 if bc == "dirichlet_alt" else 0)
-    if v.size != expected:
-        raise ParameterError(f"expected a vector of length {expected}, got {v.size}")
+    if v.shape[-1] != expected:
+        raise ParameterError(f"expected a vector of length {expected}, got {v.shape[-1]}")
     sign = 1 if bc == "neumann" else -1
-    pairs = _pairing(n, bc)
-    out = np.zeros(n + 1 if bc == "dirichlet_alt" else n)
-    scale = np.linalg.norm(v)
-    bad = 0.0
-    for idx, (i, m) in enumerate(pairs):
-        out[idx] = (v[i] + sign * v[m]) / np.sqrt(2.0)
-        bad = max(bad, abs(v[i] - sign * v[m]) / np.sqrt(2.0))
+    i, m = _pairing(n, bc)
+    out = (v[..., i] + sign * v[..., m]) / np.sqrt(2.0)
+    bad = np.abs(v[..., i] - sign * v[..., m]) / np.sqrt(2.0)
     if bc == "dirichlet_alt":
         # reflection fixed points carry no sector freedom
-        bad = max(bad, abs(v[0]), abs(v[n + 1]))
-    if scale > 0 and bad > rtol * scale:
+        bad = np.concatenate([bad, np.abs(v[..., [0, n + 1]])], axis=-1)
+        out = np.concatenate([out, np.zeros_like(out[..., :1])], axis=-1)
+    bad = bad.max(axis=-1, initial=0.0)
+    scale = np.linalg.norm(v, axis=-1)
+    over = (scale > 0) & (bad > rtol * scale)
+    if over.any():
+        j = over.argmax()
         raise SymmetryViolation(
-            f"component {bad:.3e} in the complementary sector exceeds rtol*||v|| = {rtol * scale:.3e}")
-    return out
+            f"component {bad.flat[j]:.3e} in the complementary sector exceeds "
+            f"rtol*||v|| = {rtol * scale.flat[j]:.3e}")
+    return np.moveaxis(out, -1, axis)
 
 
 def unfold_vector(w: np.ndarray, bc: str) -> np.ndarray:
@@ -129,7 +134,7 @@ def unfold_vector(w: np.ndarray, bc: str) -> np.ndarray:
         n = w.size
         v = np.zeros(2 * n)
     sign = 1 if bc == "neumann" else -1
-    for idx, (i, m) in enumerate(_pairing(n, bc)):
-        v[i] = w[idx] / np.sqrt(2.0)
-        v[m] = sign * w[idx] / np.sqrt(2.0)
+    i, m = _pairing(n, bc)
+    v[i] = w[:n] / np.sqrt(2.0)
+    v[m] = sign * w[:n] / np.sqrt(2.0)
     return v

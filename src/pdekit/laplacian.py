@@ -19,9 +19,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BudgetExceeded, ParameterError
 from .stencil import Stencil
+from .tensor import kron_sum
 
 __all__ = [
     "CirculantOperator",
@@ -34,6 +36,7 @@ __all__ = [
 ]
 
 DENSE_BUDGET = 1 << 22  # max entries a dense materialization may hold
+DENSE_LIMIT = 4096  # max rows of an operator factorized densely (eigvalsh, SVD)
 
 
 @dataclass(frozen=True)
@@ -64,15 +67,7 @@ class CirculantOperator:
         N = self.sites_1d ** self.dim
         if N * N > DENSE_BUDGET:
             raise BudgetExceeded(f"dense operator of size {N} exceeds budget")
-        L1 = self.dense_1d()
-        I = np.eye(self.sites_1d)
-        out = np.zeros((N, N))
-        for axis in range(self.dim):
-            term = np.array([[1.0]])
-            for a in range(self.dim):
-                term = np.kron(term, L1 if a == axis else I)
-            out += term
-        return out
+        return kron_sum(sp.csr_matrix(self.dense_1d()), self.dim).toarray()
 
 
 def build_circulant(s: Stencil, n: int) -> CirculantOperator:

@@ -25,6 +25,7 @@ import scipy.sparse.linalg as spla
 from .errors import ConvergenceFailure, ParameterError
 from .expressions import builtin_expression
 from .spectral_system import SpectralSystem, assemble_system, condition_report
+from .tensor import along
 from .transforms import endpoint_weights, qct_apply, qsft_apply
 
 __all__ = [
@@ -58,39 +59,32 @@ def node_grids(basis: str, n: int, d: int):
     return [nodes(basis, n)] * d
 
 
-def _axis_apply(fn, values: np.ndarray, n: int, d: int) -> np.ndarray:
-    N = n + 1
-    cube = np.asarray(values).reshape([N] * d)
-    for axis in range(d):
-        cube = np.apply_along_axis(fn, axis, cube)
-    return cube.reshape(-1)
-
-
 def analyze_values(basis: str, values, n: int, d: int = 1) -> np.ndarray:
     """Node values on the tensor grid -> coefficient vector."""
-    if basis == "fourier":
-        root = math.sqrt(n + 1.0)
-        out = _axis_apply(lambda v: qsft_apply(v, inverse=True) / root, values, n, d)
-        return out
-    if basis == "chebyshev":
-        delta = endpoint_weights(n)
-        scale = math.sqrt(2.0 / n)
-        out = _axis_apply(lambda v: scale * delta * qct_apply(delta * v), values, n, d)
-        return out.real if not np.iscomplexobj(np.asarray(values)) else out
-    raise ParameterError(f"unknown basis {basis!r}")
+    cube = np.asarray(values).reshape([n + 1] * d)
+    for axis in range(d):
+        if basis == "fourier":
+            cube = qsft_apply(cube, inverse=True, axis=axis) / math.sqrt(n + 1.0)
+        elif basis == "chebyshev":
+            delta = along(endpoint_weights(n), axis, d)
+            cube = math.sqrt(2.0 / n) * delta * qct_apply(delta * cube, axis=axis)
+        else:
+            raise ParameterError(f"unknown basis {basis!r}")
+    return cube.reshape(-1)
 
 
 def synthesize_nodes(basis: str, coeffs, n: int, d: int = 1) -> np.ndarray:
     """Coefficient vector -> values on the tensor grid (flattened)."""
-    if basis == "fourier":
-        root = math.sqrt(n + 1.0)
-        return _axis_apply(lambda c: root * qsft_apply(c), coeffs, n, d)
-    if basis == "chebyshev":
-        delta = endpoint_weights(n)
-        scale = math.sqrt(n / 2.0)
-        out = _axis_apply(lambda c: scale * qct_apply(c / delta) / delta, coeffs, n, d)
-        return out.real if not np.iscomplexobj(np.asarray(coeffs)) else out
-    raise ParameterError(f"unknown basis {basis!r}")
+    cube = np.asarray(coeffs).reshape([n + 1] * d)
+    for axis in range(d):
+        if basis == "fourier":
+            cube = math.sqrt(n + 1.0) * qsft_apply(cube, axis=axis)
+        elif basis == "chebyshev":
+            delta = along(endpoint_weights(n), axis, d)
+            cube = math.sqrt(n / 2.0) * qct_apply(cube / delta, axis=axis) / delta
+        else:
+            raise ParameterError(f"unknown basis {basis!r}")
+    return cube.reshape(-1)
 
 
 def evaluate_at(basis: str, coeffs, n: int, d: int, points) -> np.ndarray:

@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BudgetExceeded, ParameterError
+from .tensor import kron
 
 __all__ = [
     "DiffMatrix",
@@ -32,6 +33,7 @@ __all__ = [
     "multi_diff",
     "boundary_row_indices",
     "gdd_check",
+    "random_gdd",
 ]
 
 BASES = ("fourier", "chebyshev")
@@ -148,16 +150,11 @@ def multi_diff(pattern, basis: str, n: int, d: int) -> sp.csr_matrix:
     N = n + 1
     if N ** d > SYSTEM_BUDGET:
         raise BudgetExceeded(f"operator of size {N ** d} exceeds budget")
-    dtype = complex if basis == "fourier" else float
-    I = sp.identity(N, dtype=dtype, format="csr")
     if 2 in pattern:
         D = diff_matrix(basis, 2, n, with_boundary_rows=True).sparse
     else:
         D = diff_matrix(basis, 1, n).sparse
-    out = sp.identity(1, dtype=dtype, format="csr")
-    for p in pattern:
-        out = sp.kron(out, D if p > 0 else I, format="csr")
-    return out
+    return kron([D if p > 0 else None for p in pattern])
 
 
 def gdd_check(A) -> dict:
@@ -186,3 +183,20 @@ def gdd_check(A) -> dict:
         "norm_star": float(np.abs(diag).sum()),
         "accepted": bool(C > 0),
     }
+
+
+def random_gdd(rng, d: int) -> np.ndarray:
+    """A random d x d coefficient matrix that gdd_check accepts.
+
+    Diagonal entries are drawn from [0.5, 2], off-diagonal ones from
+    [-1, 1] and then scaled so the dominance margin C is a draw from
+    [0.05, 0.8].  Every draw comes from rng, in a fixed order.
+    """
+    diag = rng.uniform(0.5, 2.0, size=d)
+    off = rng.uniform(-1.0, 1.0, size=(d, d))
+    np.fill_diagonal(off, 0.0)
+    weight = sum(np.abs(off[j]).sum() / diag[j] for j in range(d))
+    margin = rng.uniform(0.05, 0.8)
+    if weight > 0:
+        off *= (1.0 - margin) / weight
+    return np.diag(diag) + off

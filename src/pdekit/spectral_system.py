@@ -29,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateRhs, ParameterError
+from .laplacian import DENSE_LIMIT as DENSE_SVD_LIMIT
 from .spectral_ops import BASES, boundary_row_indices, diff_matrix, gdd_check, multi_diff
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
     "state_prep_q",
     "condition_report",
 ]
-
-DENSE_SVD_LIMIT = 4096
 
 
 def choose_truncation(g: float, g_prime: float, eps: float) -> int:
@@ -143,6 +142,11 @@ class SpectralSystem:
         return self.L.toarray()
 
 
+def _require_finite(name: str, *arrays) -> None:
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise ParameterError(f"{name} has non-finite entries")
+
+
 def _place_source(basis: str, n: int, d: int, fhat: np.ndarray) -> np.ndarray:
     """f-hat with rows dropped where every axis sits on a closure index."""
     N = n + 1
@@ -178,9 +182,11 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
     homogeneous.  For the periodic basis the pair collapses to one vector per
     axis (the coefficients of the solution's x_j = 0 slice), passed in the
     plus slot with minus None; the alternative closures "point"/"pin" take
-    the scalar point_value instead.
+    the scalar point_value instead.  Non-finite A, fhat or boundary data are
+    rejected.
     """
     A = np.asarray(A)
+    _require_finite("A", A)
     if basis not in BASES:
         raise ParameterError(f"basis must be one of {BASES}, got {basis!r}")
     d = A.shape[0]
@@ -189,6 +195,7 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
     fhat = np.asarray(fhat, dtype=complex).reshape(-1)
     if fhat.size != N ** d:
         raise ParameterError(f"fhat has length {fhat.size}, expected {N ** d}")
+    _require_finite("fhat", fhat)
     if basis == "chebyshev" and closure != "axes":
         raise ParameterError("closure variants exist for the periodic basis only")
     if closure not in ("axes", "point", "pin"):
@@ -216,6 +223,7 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
         L = L + mask @ mixed
 
     if closure in ("point", "pin"):
+        _require_finite("point_value", point_value)
         m = n // 2
         center = 0
         for _ in range(d):
@@ -249,6 +257,7 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
                     gm = zeros if gm is None else gm
             ep = embed_boundary(basis, n, d, j, "plus", gp)
             em = embed_boundary(basis, n, d, j, "minus", gm)
+            _require_finite(f"boundary data of axis {j}", ep, em)
             plus_terms.append(A[j, j] * ep)
             minus_terms.append(A[j, j] * em)
             rhs = rhs + A[j, j] * ep + (A[j, j] * em if basis == "chebyshev" else 0.0)

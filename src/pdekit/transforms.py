@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
+from .tensor import along
 
 __all__ = [
     "endpoint_weights",
@@ -30,8 +31,6 @@ __all__ = [
     "cyclic_permutation",
     "qsft_apply",
     "qct_apply",
-    "UnitaryTransform",
-    "tensor_apply",
 ]
 
 
@@ -95,123 +94,39 @@ def qct_matrix(n: int) -> np.ndarray:
     return np.sqrt(2.0 / n) * d[l] * d[k] * np.cos(l * k * np.pi / n)
 
 
-def qsft_apply(v: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Apply the shifted Fourier transform (or its inverse) along a vector.
+def qsft_apply(v: np.ndarray, inverse: bool = False, axis: int = -1) -> np.ndarray:
+    """Apply the shifted Fourier transform (or its inverse) along one axis.
 
     Fast path: post * ifft_ortho * pre for the forward map; the inverse is
     the conjugate transpose, conj(pre) * fft_ortho * conj(post).
     """
     v = np.asarray(v, dtype=complex)
-    n = v.size - 1
-    if n < 0:
+    if v.size == 0:
         raise ParameterError("empty vector")
+    n = v.shape[axis] - 1
     if n == 0:
         return v.copy()
-    pre = alternating_phase(n)
-    post = centering_phase(n)
+    pre = along(alternating_phase(n), axis, v.ndim)
+    post = along(centering_phase(n), axis, v.ndim)
     if inverse:
-        return pre.conj() * np.fft.fft(post.conj() * v, norm="ortho")
-    return post * np.fft.ifft(pre * v, norm="ortho")
+        return pre.conj() * np.fft.fft(post.conj() * v, axis=axis, norm="ortho")
+    return post * np.fft.ifft(pre * v, axis=axis, norm="ortho")
 
 
-def qct_apply(v: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Apply the weighted cosine transform; it is an involution, so the
-    inverse flag is accepted for interface symmetry and changes nothing.
+def qct_apply(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Apply the weighted cosine transform along one axis; it is an involution.
 
     Fast path: weight the endpoints, extend evenly to length 2n, take one
     FFT, and fold the two boundary terms back in.
     """
-    del inverse
-    v = np.asarray(v)
-    n = v.size - 1
+    v = np.moveaxis(np.asarray(v), axis, -1)
+    n = v.shape[-1] - 1
     if n < 1:
         raise ParameterError("qct needs n >= 1 (the formula divides by n)")
-    out_dtype = complex if np.iscomplexobj(v) else float
     d = endpoint_weights(n)
     z = d * v.astype(complex)
-    ext = np.concatenate([z, z[-2:0:-1]])
-    Y = np.fft.fft(ext)[: n + 1]
-    A = 0.5 * (Y + z[0] + ((-1.0) ** np.arange(n + 1)) * z[n])
+    ext = np.concatenate([z, z[..., -2:0:-1]], axis=-1)
+    Y = np.fft.fft(ext)[..., : n + 1]
+    A = 0.5 * (Y + z[..., :1] + ((-1.0) ** np.arange(n + 1)) * z[..., n:])
     res = np.sqrt(2.0 / n) * d * A
-    if out_dtype is float:
-        return res.real
-    return res
-
-
-_KINDS = (
-    "qsft",
-    "qct",
-    "qft",
-    "phase_pre",
-    "phase_post",
-    "phase_twiddle",
-    "cyclic_shift",
-)
-
-
-class UnitaryTransform:
-    """A named transform of size n+1 with fast apply and a test materializer."""
-
-    def __init__(self, kind: str, n: int):
-        if kind not in _KINDS:
-            raise ParameterError(f"kind must be one of {_KINDS}, got {kind!r}")
-        if n < 0 or (kind == "qct" and n < 1):
-            raise ParameterError(f"invalid size for {kind}: n={n}")
-        self.kind = kind
-        self.n = int(n)
-        self.size = self.n + 1
-
-    def matrix(self) -> np.ndarray:
-        n = self.n
-        if self.kind == "qsft":
-            return qsft_matrix(n)
-        if self.kind == "qct":
-            return qct_matrix(n)
-        if self.kind == "qft":
-            return dft_matrix(n)
-        if self.kind == "phase_pre":
-            return np.diag(alternating_phase(n))
-        if self.kind == "phase_post":
-            return np.diag(centering_phase(n))
-        if self.kind == "phase_twiddle":
-            return np.diag(twiddle_phase(n))
-        return cyclic_permutation(n)
-
-    def apply(self, v: np.ndarray, inverse: bool = False) -> np.ndarray:
-        v = np.asarray(v)
-        if v.size != self.size:
-            raise ParameterError(f"expected length {self.size}, got {v.size}")
-        if self.kind == "qsft":
-            return qsft_apply(v, inverse=inverse)
-        if self.kind == "qct":
-            return qct_apply(v)
-        if self.kind == "qft":
-            f = np.fft.fft if inverse else np.fft.ifft
-            return f(np.asarray(v, dtype=complex), norm="ortho")
-        M = self.matrix()
-        if inverse:
-            M = M.conj().T
-        return M @ np.asarray(v, dtype=complex)
-
-
-def tensor_apply(t: UnitaryTransform, d: int, v: np.ndarray, axes=None,
-                 inverse: bool = False) -> np.ndarray:
-    """Apply a 1D transform along the chosen axes of a flattened d-cube.
-
-    v must have length (n+1)^d, interpreted with axis 0 as the slowest
-    (leftmost Kronecker factor).  axes defaults to all of them; an empty
-    list is the identity.
-    """
-    v = np.asarray(v)
-    N = t.size
-    if v.size != N ** d:
-        raise ParameterError(f"expected length {N ** d}, got {v.size}")
-    if axes is None:
-        axes = range(d)
-    axes = sorted(set(int(a) for a in axes))
-    if any(a < 0 or a >= d for a in axes):
-        raise ParameterError(f"axes out of range for d={d}: {axes}")
-    cube = v.reshape((N,) * d).astype(complex)
-    for ax in axes:
-        cube = np.apply_along_axis(lambda col: t.apply(col, inverse=inverse), ax, cube)
-    return cube.reshape(-1)
+    return np.moveaxis(res if np.iscomplexobj(v) else res.real, -1, axis)

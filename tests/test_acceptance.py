@@ -29,7 +29,7 @@ from pdekit.laplacian import (
     spectral_norm,
 )
 from pdekit.solver import solve_manufactured
-from pdekit.spectral_ops import diff_matrix, gdd_check
+from pdekit.spectral_ops import diff_matrix, gdd_check, random_gdd
 from pdekit.spectral_system import (
     assemble_system,
     choose_truncation,
@@ -243,17 +243,6 @@ def test_c5b_poisson_kappa_chebyshev():
     assert certified == len(flagged), detail
 
 
-def random_gdd_operator(rng, d):
-    diag = rng.uniform(0.5, 2.0, size=d)
-    off = rng.uniform(-1.0, 1.0, size=(d, d))
-    np.fill_diagonal(off, 0.0)
-    weight = sum(np.abs(off[j]).sum() / diag[j] for j in range(d))
-    margin = rng.uniform(0.05, 0.8)
-    if weight > 0:
-        off *= (1.0 - margin) / weight
-    return np.diag(diag) + off
-
-
 def gdd_sweep(basis, trials=50):
     """Per seeded GDD operator: L, its diagonal part L1, L2 L1^{-1} and margins."""
     rng = np.random.default_rng(SEED)
@@ -261,7 +250,7 @@ def gdd_sweep(basis, trials=50):
     for _ in range(trials):
         d = int(rng.integers(2, 4))
         n = int(rng.integers(3, 7)) if d == 2 else int(rng.integers(2, 5))
-        A = random_gdd_operator(rng, d)
+        A = random_gdd(rng, d)
         info = gdd_check(A)
         assert info["accepted"]
         zero = np.zeros((n + 1) ** d)

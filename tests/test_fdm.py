@@ -146,6 +146,18 @@ class TestGridAndAssembly:
         with pytest.raises(ParameterError, match="sampler returned shape"):
             assemble(p)
 
+    @pytest.mark.parametrize("bc, bad", [("periodic", np.nan), ("periodic", np.inf),
+                                         ("dirichlet", np.nan)])
+    def test_non_finite_source_rejected(self, bc, bad):
+        h = math.pi / 8
+
+        def f(x):
+            out = np.sin(x + h / 2)
+            out[3] = bad
+            return out
+        with pytest.raises(ParameterError, match="non-finite"):
+            assemble(FdmProblem(d=1, n=8, k=1, rhs_sampler=f, bc=bc))
+
     def test_dirichlet_matrix_is_restricted_kronecker_sum(self):
         n, k = 6, 1
         h = math.pi / n

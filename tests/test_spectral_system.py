@@ -209,6 +209,23 @@ def test_assembly_guards():
         assemble_system(np.eye(2), "legendre", 2, np.zeros(9))
 
 
+@pytest.mark.parametrize("case", ["A", "fhat", "boundary", "point_value"])
+def test_non_finite_input_rejected(case):
+    face = np.ones(4)
+    args = {"A": np.eye(2), "basis": "chebyshev", "n": 3, "fhat": np.ones(16),
+            "boundary": [(face, face), (face, face)]}
+    if case == "A":
+        args["A"] = np.diag([1.0, np.nan])
+    elif case == "fhat":
+        args["fhat"] = np.full(16, np.nan)
+    elif case == "boundary":
+        args["boundary"] = [(face, face), (face, np.full(4, np.inf))]
+    else:
+        args.update(basis="fourier", boundary=None, closure="point", point_value=np.nan)
+    with pytest.raises(ParameterError, match="non-finite"):
+        assemble_system(**args)
+
+
 def q_oracle(fhat, plus, minus):
     """Direct scalar summation over every coefficient."""
     num = 0.0

@@ -6,7 +6,6 @@ import scipy.fft
 
 from pdekit.errors import ParameterError
 from pdekit.transforms import (
-    UnitaryTransform,
     alternating_phase,
     centering_phase,
     cyclic_permutation,
@@ -16,9 +15,26 @@ from pdekit.transforms import (
     qct_matrix,
     qsft_apply,
     qsft_matrix,
-    tensor_apply,
     twiddle_phase,
 )
+
+# kind -> (fast apply, its inverse, materialized matrix) at size n + 1
+FAST_AND_MATRIX = {
+    "qsft": (qsft_apply, lambda v: qsft_apply(v, inverse=True), qsft_matrix),
+    "qct": (qct_apply, qct_apply, qct_matrix),
+    "qft": (lambda v: np.fft.ifft(v, norm="ortho"), lambda v: np.fft.fft(v, norm="ortho"),
+            dft_matrix),
+    "phase_pre": (lambda v: alternating_phase(v.size - 1) * v,
+                  lambda v: alternating_phase(v.size - 1).conj() * v,
+                  lambda n: np.diag(alternating_phase(n))),
+    "phase_post": (lambda v: centering_phase(v.size - 1) * v,
+                   lambda v: centering_phase(v.size - 1).conj() * v,
+                   lambda n: np.diag(centering_phase(n))),
+    "phase_twiddle": (lambda v: twiddle_phase(v.size - 1) * v,
+                      lambda v: twiddle_phase(v.size - 1).conj() * v,
+                      lambda n: np.diag(twiddle_phase(n))),
+    "cyclic_shift": (lambda v: np.roll(v, 1), lambda v: np.roll(v, -1), cyclic_permutation),
+}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 15, 32])
@@ -99,43 +115,36 @@ def test_qct_needs_two_rows():
         qct_apply(np.ones(1))
 
 
-def test_unitary_transform_wrapper(rng):
-    t = UnitaryTransform("qsft", 8)
-    v = rng.normal(size=9) + 1j * rng.normal(size=9)
-    assert np.allclose(t.matrix(), qsft_matrix(8), atol=1e-14)
-    assert np.allclose(t.apply(v), qsft_apply(v), atol=1e-14)
-    assert np.allclose(t.apply(t.apply(v), inverse=True), v, atol=1e-13)
-    c = UnitaryTransform("qct", 8)
-    w = rng.normal(size=9)
-    assert np.allclose(c.apply(w), qct_apply(w), atol=1e-14)
-    with pytest.raises(ParameterError):
-        UnitaryTransform("hadamard", 8)
-    with pytest.raises(ParameterError):
-        t.apply(np.ones(4))
-
-
 @pytest.mark.parametrize("kind", ["qsft", "qct", "qft", "phase_pre", "phase_post",
                                   "phase_twiddle", "cyclic_shift"])
 def test_every_kind_applies_like_its_matrix(rng, kind):
-    t = UnitaryTransform(kind, 6)
-    M = t.matrix()
+    apply, inverse, matrix = FAST_AND_MATRIX[kind]
+    M = matrix(6)
     assert np.allclose(M @ M.conj().T, np.eye(7), atol=1e-13)
+    if kind.startswith("phase"):
+        assert np.allclose(np.abs(np.diag(M)), 1.0, atol=1e-15)
     v = rng.normal(size=7) + 1j * rng.normal(size=7)
-    assert np.allclose(t.apply(v), M @ v, atol=1e-13)
-    assert np.allclose(t.apply(v, inverse=True), M.conj().T @ v, atol=1e-13)
+    assert np.allclose(apply(v), M @ v, atol=1e-13)
+    assert np.allclose(inverse(v), M.conj().T @ v, atol=1e-13)
 
 
-def test_tensor_apply_matches_kron(rng):
+def test_axis_apply_matches_kron(rng):
     n = 4
-    t = UnitaryTransform("qsft", n)
-    F = t.matrix()
-    v = rng.normal(size=(n + 1) ** 2) + 1j * rng.normal(size=(n + 1) ** 2)
-    assert np.allclose(tensor_apply(t, 2, v), np.kron(F, F) @ v, atol=1e-12)
-    # axis 0 is the leftmost Kronecker factor
-    got0 = tensor_apply(t, 2, v, axes=(0,))
-    assert np.allclose(got0, np.kron(F, np.eye(n + 1)) @ v, atol=1e-12)
-    assert np.allclose(tensor_apply(t, 2, v, axes=()), v)
-    with pytest.raises(ParameterError):
-        tensor_apply(t, 2, v[:-1])
-    with pytest.raises(ParameterError):
-        tensor_apply(t, 2, v, axes=(2,))
+    I = np.eye(n + 1)
+    v = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+    flat = v.reshape(-1)
+    for inverse in (False, True):
+        F = qsft_matrix(n).conj().T if inverse else qsft_matrix(n)
+        # axis 0 is the leftmost Kronecker factor
+        got0 = qsft_apply(v, inverse=inverse, axis=0)
+        assert np.allclose(got0.reshape(-1), np.kron(F, I) @ flat, atol=1e-12)
+        got1 = qsft_apply(v, inverse=inverse, axis=1)
+        assert np.allclose(got1.reshape(-1), np.kron(I, F) @ flat, atol=1e-12)
+        both = qsft_apply(got0, inverse=inverse, axis=1)
+        assert np.allclose(both.reshape(-1), np.kron(F, F) @ flat, atol=1e-12)
+    C = qct_matrix(n)
+    w = v.real
+    assert np.allclose(qct_apply(w, axis=0).reshape(-1), np.kron(C, I) @ w.reshape(-1),
+                       atol=1e-12)
+    assert np.allclose(qct_apply(w, axis=-1).reshape(-1), np.kron(I, C) @ w.reshape(-1),
+                       atol=1e-12)
