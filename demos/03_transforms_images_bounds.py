@@ -13,21 +13,12 @@ import math
 
 import numpy as np
 
+from pdekit import suites
 from pdekit.images import fold_vector, restrict, unfold_vector
-from pdekit.spectral_ops import diff_matrix, gdd_check
+from pdekit.spectral_ops import gdd_check
 from pdekit.spectral_system import assemble_system, condition_report
 from pdekit.stencil import make_stencil
-from pdekit.transforms import (
-    alternating_phase,
-    centering_phase,
-    cyclic_permutation,
-    dft_matrix,
-    qct_apply,
-    qct_matrix,
-    qsft_apply,
-    qsft_matrix,
-    twiddle_phase,
-)
+from pdekit.transforms import qct_apply, qsft_apply, qsft_matrix
 
 
 def section(title):
@@ -36,18 +27,11 @@ def section(title):
 
 section("shifted transform factorizations")
 print("max entry deviation of each identity, sizes 8, 16, 32, 64:")
-for n in (7, 15, 31, 63):
-    F = dft_matrix(n)
-    Fs = qsft_matrix(n)
-    S = np.diag(centering_phase(n))
-    R = np.diag(alternating_phase(n))
-    T = np.diag(twiddle_phase(n))
-    P = cyclic_permutation(n)
-    e_fact = np.abs(Fs - S @ F @ R).max()
-    e_shift = np.abs(P - F @ T @ np.conj(F.T)).max()
-    e_unit = np.abs(Fs @ np.conj(Fs.T) - np.eye(n + 1)).max()
-    print(f"  size {n + 1:>2}: factorization {e_fact:.1e}, "
-          f"shift conjugation {e_shift:.1e}, unitarity {e_unit:.1e}")
+for row in suites.transforms(0):
+    if row["n"] in (7, 15, 31, 63):
+        print(f"  size {row['n'] + 1:>2}: factorization {row['factorization']:.1e}, "
+              f"shift conjugation {row['shift_conjugation']:.1e}, "
+              f"unitarity {row['unitarity']:.1e}")
 
 rng = np.random.default_rng(7)
 v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
@@ -73,15 +57,11 @@ section("closed derivative-squared singular values")
 print(f"{'basis':>10} {'n':>3} {'sigma_max':>11} {'cap':>11} "
       f"{'sigma_min':>10} {'floor':>7}")
 for basis in ("fourier", "chebyshev"):
-    for n in (8, 32, 64):
-        M = diff_matrix(basis, 2, n, with_boundary_rows=True).dense()
-        sv = np.linalg.svd(M, compute_uv=False)
-        if basis == "fourier":
-            hi, lo = (2.0 * n) ** 2.5, 1.0 / math.sqrt(2.0)
-        else:
-            hi, lo = float(n) ** 4, 1.0 / 16.0
-        print(f"{basis:>10} {n:>3} {sv[0]:>11.3e} {hi:>11.3e} "
-              f"{sv[-1]:>10.4f} {lo:>7.4f}")
+    for row in suites.SUITES[f"svd_{basis}"](0):
+        if row["n"] in (8, 32, 64):
+            print(f"{basis:>10} {row['n']:>3} {row['sigma_max']:>11.3e} "
+                  f"{row['max_bound']:>11.3e} {row['sigma_min']:>10.4f} "
+                  f"{row['min_bound']:>7.4f}")
 
 section("diagonal dominance and the condition bound")
 A = np.array([[1.0, 0.3, 0.1], [0.1, 1.5, 0.2], [0.0, 0.2, 0.8]])

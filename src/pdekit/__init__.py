@@ -10,8 +10,8 @@ Two solver families over [-1, 1]^d / [0, 2pi)^d:
   matrices with boundary closure rows, Kronecker-sum assembly for second-
   order elliptic operators, direct solves with residual certificates.
 
-The golden module reproduces the published worked example, and the cli
-module exposes the verification suites.
+The golden module reproduces the published worked example, the suites
+module holds the bound-verification sweeps, and the cli module runs them.
 """
 
 from .errors import (BudgetExceeded, CompatibilityError, ConvergenceFailure,

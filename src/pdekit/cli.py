@@ -10,30 +10,24 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import fdm as fdm_mod
+from . import suites
 from .errors import PdekitError, SpecError
 from .expressions import builtin_expression
 from .golden import GOLDEN_NAMES, compare_goldens, generate_golden
-from .laplacian import (DENSE_LIMIT, build_circulant, condition_number, kronecker_sum,
-                        spectral_norm)
+from .laplacian import DENSE_LIMIT, build_circulant, condition_number, kronecker_sum
 from .matrixio import write_coordinate
 from .solver import analyze_values, node_grids, solve_manufactured, solve_system
-from .spectral_ops import diff_matrix, gdd_check, random_gdd
 from .spectral_system import assemble_system, choose_truncation, condition_report
-from .stencil import make_stencil, second_moment
-from .transforms import (alternating_phase, centering_phase, cyclic_permutation,
-                         dft_matrix, qsft_matrix, twiddle_phase)
+from .stencil import make_stencil
 
-SUITES = ("fdm_kappa", "svd_fourier", "svd_chebyshev", "kappa_poisson",
-          "kappa_general", "stencil", "transforms")
+SUITES = tuple(suites.SUITES)
 
 EXAMPLES = {
     "poisson-2d-cheb": {
@@ -61,11 +55,15 @@ def _emit_rows(rows, out: Path | None, name: str, fmt: str) -> None:
         writer.writerows(rows)
 
 
+def _cell(value) -> str:
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
 def _print_table(rows, cols) -> None:
-    widths = [max(len(c), *(len(str(r.get(c, ""))) for r in rows)) for c in cols]
+    widths = [max(len(c), *(len(_cell(r.get(c, ""))) for r in rows)) for c in cols]
     print("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
     for r in rows:
-        print("  ".join(str(r.get(c, "")).ljust(w) for c, w in zip(cols, widths)))
+        print("  ".join(_cell(r.get(c, "")).ljust(w) for c, w in zip(cols, widths)))
 
 
 def cmd_reproduce_goldens(args) -> int:
@@ -86,152 +84,11 @@ def cmd_reproduce_goldens(args) -> int:
     return 0 if all(r["ok"] for r in results) else 1
 
 
-def _suite_stencil(_seed):
-    from fractions import Fraction
-    rows = []
-    for k in range(1, 31):
-        s = make_stencil(k)
-        # Minimal lattice just to read the symbol; the small-k advisory
-        # does not apply to these algebraic identities.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            symbol = build_circulant(s, k + 1).symbol
-        sym = all(symbol[j] == symbol[-j] for j in range(1, symbol.size))
-        zero_sum = s.exact[0] + 2 * sum(s.exact[1:]) == 0
-        moment = second_moment(s) == 1
-        decay = all(abs(s.exact[j]) <= Fraction(2, j * j) for j in range(1, k + 1))
-        ok = sym and zero_sum and moment and decay
-        rows.append({"k": k, "symmetric": sym, "zero_sum": zero_sum,
-                     "moment_one": moment, "decay_2_over_j2": decay, "pass": ok})
-    return rows
-
-
-def _suite_fdm_kappa(_seed):
-    c1, c2 = 1.0 / 3.0, 3.0 / 4.0
-    bound_norm = 4.0 * math.pi ** 2 / 3.0
-    rows = []
-    for d in (1, 2, 3):
-        for k in (1, 2, 4):
-            for n in (8, 16, 32, 64, 128):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    op = kronecker_sum(build_circulant(make_stencil(k), n), d)
-                kappa = condition_number(op)
-                ratio = kappa / (d * n * n)
-                norm1 = spectral_norm(op) / d
-                ok = (c1 <= ratio <= c2) and (norm1 <= bound_norm)
-                rows.append({"d": d, "k": k, "n": n,
-                             "kappa_over_dn2": round(ratio, 6),
-                             "norm_1d": round(norm1, 6), "pass": ok})
-    return rows
-
-
-def _suite_svd(basis):
-    def run(_seed):
-        rows = []
-        for n in range(4, 65):
-            M = diff_matrix(basis, 2, n, with_boundary_rows=True).dense()
-            sv = np.linalg.svd(M, compute_uv=False)
-            if basis == "fourier":
-                hi, lo = (2.0 * n) ** 2.5, 1.0 / math.sqrt(2.0)
-            else:
-                hi, lo = float(n) ** 4, 1.0 / 16.0
-            ok = sv[0] <= hi and sv[-1] >= lo
-            rows.append({"n": n, "sigma_max": f"{sv[0]:.4e}", "max_bound": f"{hi:.4e}",
-                         "sigma_min": f"{sv[-1]:.4e}", "min_bound": f"{lo:.4e}",
-                         "pass": bool(ok)})
-        return rows
-    return run
-
-
-def _suite_kappa_poisson(_seed):
-    rows = []
-    for basis in ("fourier", "chebyshev"):
-        for d in (1, 2, 3):
-            for n in range(2, 9):
-                system = assemble_system(np.eye(d), basis, n, np.zeros((n + 1) ** d))
-                rep = condition_report(system)
-                rows.append({
-                    "basis": basis, "d": d, "n": n,
-                    "kappa": f"{rep['kappa']:.4e}",
-                    "bound": f"{rep['bound_poisson']:.4e}",
-                    "pass": bool(rep["within_poisson"]),
-                })
-    return rows
-
-
-def _suite_kappa_general(seed):
-    rng = np.random.default_rng(seed)
-    rows = []
-    for trial in range(50):
-        d = int(rng.integers(2, 4))
-        n = int(rng.integers(3, 7)) if d == 2 else int(rng.integers(2, 5))
-        basis = ("fourier", "chebyshev")[trial % 2]
-        A = random_gdd(rng, d)
-        info = gdd_check(A)
-        if not info["accepted"]:
-            rows.append({"trial": trial, "basis": basis, "d": d, "n": n,
-                         "status": "skipped (not diagonally dominant)", "pass": True})
-            continue
-        system = assemble_system(A, basis, n, np.zeros((n + 1) ** d))
-        rep = condition_report(system)
-        pure = assemble_system(np.diag(np.diag(A)), basis, n,
-                               np.zeros((n + 1) ** d)).L.toarray()
-        mixed = system.L.toarray() - pure
-        try:
-            ratio = np.linalg.norm(np.linalg.solve(pure.T, mixed.T).T, 2)
-        except np.linalg.LinAlgError:
-            rows.append({"trial": trial, "basis": basis, "d": d, "n": n,
-                         "kappa": f"{rep['kappa']:.3e}",
-                         "kappa_bound": f"{rep['bound_general']:.3e}",
-                         "perturbation": "inf", "pert_bound": f"{1.0 - info['C']:.3e}",
-                         "status": "pure block singular", "pass": False})
-            continue
-        ok_kappa = rep["within_general"]
-        ok_pert = ratio <= 1.0 - info["C"] + 1e-12
-        rows.append({
-            "trial": trial, "basis": basis, "d": d, "n": n,
-            "kappa": f"{rep['kappa']:.3e}",
-            "kappa_bound": f"{rep['bound_general']:.3e}",
-            "perturbation": f"{ratio:.3e}",
-            "pert_bound": f"{1.0 - info['C']:.3e}",
-            "status": "ok" if (ok_kappa and ok_pert) else "bound violated",
-            "pass": bool(ok_kappa and ok_pert),
-        })
-    return rows
-
-
-def _suite_transforms(_seed):
-    rows = []
-    for n in range(1, 64):
-        F = dft_matrix(n)
-        Fs = qsft_matrix(n)
-        S = np.diag(centering_phase(n))
-        R = np.diag(alternating_phase(n))
-        T = np.diag(twiddle_phase(n))
-        P = cyclic_permutation(n)
-        e1 = np.abs(Fs - S @ F @ R).max()
-        e2 = np.abs(P - F @ T @ np.conj(F.T)).max()
-        e3 = np.abs(Fs @ np.conj(Fs.T) - np.eye(n + 1)).max()
-        ok = max(e1, e2, e3) <= 1e-12
-        rows.append({"n": n, "factorization": f"{e1:.2e}",
-                     "shift_conjugation": f"{e2:.2e}",
-                     "unitarity": f"{e3:.2e}", "pass": bool(ok)})
-    return rows
-
-
 def cmd_verify_bounds(args) -> int:
-    runners = {
-        "stencil": _suite_stencil,
-        "fdm_kappa": _suite_fdm_kappa,
-        "svd_fourier": _suite_svd("fourier"),
-        "svd_chebyshev": _suite_svd("chebyshev"),
-        "kappa_poisson": _suite_kappa_poisson,
-        "kappa_general": _suite_kappa_general,
-        "transforms": _suite_transforms,
-    }
-    rows = runners[args.suite](args.seed)
-    cols = list(rows[0].keys())
+    rows = suites.SUITES[args.suite](args.seed)
+    # conditioning rows also carry their operators; only scalars are emitted
+    cols = [c for c, v in rows[0].items() if np.isscalar(v)]
+    rows = [{c: r[c] for c in cols} for r in rows]
     _print_table(rows, cols)
     passed = sum(1 for r in rows if r["pass"])
     print(f"{args.suite}: {passed}/{len(rows)} checks passed")

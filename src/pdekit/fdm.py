@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import CompatibilityError, ConvergenceFailure, ParameterError
 from .images import fold_vector, restrict
-from .laplacian import (DENSE_LIMIT, build_circulant, condition_number, eigenvalues_1d,
-                        kronecker_sum)
+from .laplacian import build_circulant, condition_number, eigenvalues_1d, kronecker_sum
 from .stencil import make_stencil
 from .tensor import axis_sum, kron_sum
 
@@ -68,20 +66,19 @@ class FdmProblem:
     def h(self) -> float:
         return math.pi / self.n
 
-    @property
-    def sites(self) -> int:
-        return (2 * self.n) ** self.d
-
 
 @dataclass
 class FdmSystem:
-    """Assembled (1/h^2) L u = f with the pieces each solve path needs."""
+    """Assembled (1/h^2) L u = f with the pieces each solve path needs.
+
+    eig_axis is the 1D spectrum of L's axis factor: all 2n circulant
+    eigenvalues when periodic, the sector's n of them when restricted.
+    """
 
     problem: FdmProblem
     rhs: np.ndarray
     eig_axis: np.ndarray | None = None
     matrix: sp.csr_matrix | None = None
-    meta: dict = field(default_factory=dict)
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         p = self.problem
@@ -152,34 +149,37 @@ def assemble(p: FdmProblem) -> FdmSystem:
     constant vector); violations beyond MEAN_RTOL * ||f|| are rejected.  For
     the reflection-restricted boundary conditions the source is sampled on
     the parent lattice and folded axis by axis into the symmetry sector.
-    Non-finite samples are rejected.
+    Non-finite samples are rejected.  The restricted operators are
+    diagonalized by the DST-II (Dirichlet) and the DCT-II (Neumann), whose
+    frequencies l = 1..n and l = 0..n-1 pick their eigenvalues out of the
+    circulant ones.
     """
     s = make_stencil(p.k)
     op = build_circulant(s, p.n)
+    lam = eigenvalues_1d(op)
     f = np.asarray(p.rhs_sampler(*periodic_grid(p.n, p.d)), dtype=float)
     if f.shape != tuple([2 * p.n] * p.d):
         raise ParameterError(f"sampler returned shape {f.shape}, expected {(2 * p.n,) * p.d}")
     if not np.isfinite(f).all():
         raise ParameterError("sampler returned non-finite source values")
     if p.bc == "periodic":
-        scale = np.linalg.norm(f)
         mean = abs(f.mean()) * math.sqrt(f.size)
-        if scale > 0 and mean > MEAN_RTOL * scale:
+        if mean > MEAN_RTOL * _norm(f):
             raise CompatibilityError(
                 f"periodic rhs has mean component {mean:.3e} > {MEAN_RTOL:.0e} * ||f||")
-        return FdmSystem(problem=p, rhs=f.reshape(-1), eig_axis=eigenvalues_1d(op))
+        return FdmSystem(problem=p, rhs=f.reshape(-1), eig_axis=lam)
     restricted = restrict(s, p.n, p.bc)
     cube = f
     for axis in range(p.d):
         cube = fold_vector(cube, p.bc, axis=axis)
     if p.bc == "neumann":
-        scale = np.linalg.norm(cube)
         mean = abs(cube.mean()) * math.sqrt(cube.size)
-        if scale > 0 and mean > MEAN_RTOL * scale:
+        if mean > MEAN_RTOL * _norm(cube):
             raise CompatibilityError(
                 f"neumann rhs has kernel component {mean:.3e} > {MEAN_RTOL:.0e} * ||f||")
     total = kron_sum(sp.csr_matrix(restricted.matrix), p.d)
-    return FdmSystem(problem=p, rhs=cube.reshape(-1),
+    sector = lam[1:p.n + 1] if p.bc == "dirichlet" else lam[:p.n]
+    return FdmSystem(problem=p, rhs=cube.reshape(-1), eig_axis=sector,
                      matrix=(total / p.h ** 2).tocsr())
 
 
@@ -193,52 +193,65 @@ def _solve_eigen(system: FdmSystem) -> np.ndarray:
     return np.fft.ifftn(U).real.reshape(-1)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product in numpy's own loop: threaded BLAS ddot leaves workers
+    spinning that take a core from the sparse matvec, and its bits depend
+    on the thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(_dot(np.ravel(v), np.ravel(v)))
+
+
 def _solve_cg(system: FdmSystem) -> tuple:
     """CG on the flipped operator (the Laplacian is negative semidefinite).
 
     Periodic and Neumann operators have the constant kernel; the rhs and
     every matvec are projected onto the zero-mean complement so the Krylov
-    space stays in the range.
+    space stays in the range.  The iteration cap comes from kappa over the
+    nonzero closed-form spectrum.  CG starts from zero and stops once the
+    true residual, not only the recurred one, meets ||r|| <= CG_TOL ||b||.
     """
     p = system.problem
-    size = system.rhs.size
     singular = p.bc in ("periodic", "neumann")
-    if p.bc == "periodic":
-        lam = np.abs(axis_sum(system.eig_axis, p.d).reshape(-1))
-        lam = lam[lam > 1e-14 * lam.max()]
-        kappa = float(lam.max() / lam.min())
-        base = system.matvec
-    else:
-        base = system.matrix.__matmul__
-        if size <= DENSE_LIMIT:
-            ev = np.abs(np.linalg.eigvalsh(system.matrix.toarray()))
-            kappa = float(ev.max() / ev[ev > 1e-12 * ev.max()].min())
-        else:
-            kappa = float(size)
-
+    lam = np.abs(axis_sum(system.eig_axis, p.d).reshape(-1))
+    lam = lam[lam > 1e-14 * lam.max()]
+    kappa = float(lam.max() / lam.min())
     rhs = np.asarray(system.rhs, dtype=float)
     if singular:
         rhs = rhs - rhs.mean()
 
-        def mv(u):
-            out = base(u)
-            return -(out - out.mean())
-    else:
-        def mv(u):
-            return -base(u)
+    def mv(u):
+        out = system.matvec(u)
+        return -(out - out.mean()) if singular else -out
 
-    A = spla.LinearOperator((size, size), matvec=mv, dtype=float)
     cap = int(10.0 * math.sqrt(kappa) * math.log(1.0 / CG_TOL)) + 50
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-    u, info = spla.cg(A, -rhs, rtol=CG_TOL, atol=0.0, maxiter=cap, callback=count)
-    res = float(np.linalg.norm(base(u) - rhs) / np.linalg.norm(rhs))
-    if info != 0:
+    u = np.zeros_like(rhs)
+    r = -rhs
+    rr = _dot(r, r)
+    stop = CG_TOL * math.sqrt(rr)
+    iters, start = 0, math.inf
+    while math.sqrt(rr) > stop and iters < cap and rr < start:
+        start = rr
+        d = r.copy()
+        while math.sqrt(rr) > stop and iters < cap:
+            q = mv(d)
+            alpha = rr / _dot(d, q)
+            u += alpha * d
+            r -= alpha * q
+            rr, rr_prev = _dot(r, r), rr
+            d *= rr / rr_prev
+            d += r
+            iters += 1
+        # restart from b - A u, which the recurred r drifts away from
+        r = -rhs - mv(u)
+        rr = _dot(r, r)
+    res = math.sqrt(rr) / max(math.sqrt(_dot(rhs, rhs)), 1e-300)
+    if math.sqrt(rr) > stop:
         raise ConvergenceFailure(
-            f"conjugate gradient stopped after {iters} iterations (cap {cap})",
+            f"conjugate gradient stopped at residual {res:.3e} after {iters} "
+            f"iterations (cap {cap})",
             residual=res)
     return u, res, iters
 
@@ -257,8 +270,8 @@ def solve(system: FdmSystem, method: str = "auto") -> SolutionField:
         if p.bc != "periodic":
             raise ParameterError("eigenspace division applies to periodic systems only")
         u = _solve_eigen(system)
-        res = float(np.linalg.norm(system.matvec(u) - (system.rhs - system.rhs.mean()))
-                    / max(np.linalg.norm(system.rhs), 1e-300))
+        res = (_norm(system.matvec(u) - (system.rhs - system.rhs.mean()))
+               / max(_norm(system.rhs), 1e-300))
         return SolutionField(problem=p, values=u, method="eigen", residual=res)
     if method != "cg":
         raise ParameterError(f"method must be auto, eigen or cg, got {method!r}")
@@ -283,16 +296,15 @@ def error_report(s: SolutionField, exact=None) -> dict:
         ue = ue - ue.mean()
     else:
         ue = np.asarray(exact, dtype=float).reshape(-1)
-    nb = np.linalg.norm(ue)
+    nb = _norm(ue)
     if nb == 0.0:
         raise ParameterError("exact solution is identically zero; errors undefined")
     diff = s.values - ue
-    na = np.linalg.norm(s.values)
+    na = _norm(s.values)
     return {
-        "l2_rel": float(np.linalg.norm(diff) / nb),
+        "l2_rel": _norm(diff) / nb,
         "linf": float(np.max(np.abs(diff))),
-        "l2_normalized": (float(np.linalg.norm(s.values / na - ue / nb))
-                          if na > 0 else math.inf),
+        "l2_normalized": _norm(s.values / na - ue / nb) if na > 0 else math.inf,
     }
 
 

@@ -59,21 +59,16 @@ def restrict(s: Stencil, n: int, bc: str) -> RestrictedLaplacian:
     if not s.k < n / 2:
         raise ParameterError(f"edge corrections collide: need k < n/2, got k={s.k}, n={n}")
 
-    def r(j):
-        return float(s.exact[j]) if 0 <= j <= s.k else 0.0
-
+    r = np.zeros(2 * n + 1)  # r_j, zero past k
+    r[:s.k + 1] = [float(c) for c in s.exact]
+    i, j = np.ogrid[:n, :n]
     if bc == "dirichlet_alt":
         M = np.zeros((n + 1, n + 1))
-        for i in range(n):
-            for j in range(n):
-                M[i, j] = r(abs(i - j)) - r(i + j + 2) - r(2 * n - i - j)
+        M[:n, :n] = r[abs(i - j)] - r[i + j + 2] - r[2 * n - i - j]
         return RestrictedLaplacian(n=n, bc=bc, matrix=M, sign=-1)
 
     sign = 1 if bc == "neumann" else -1
-    M = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            M[i, j] = r(abs(i - j)) + sign * (r(i + j + 1) + r(2 * n - i - j - 1))
+    M = r[abs(i - j)] + sign * (r[i + j + 1] + r[2 * n - i - j - 1])
     return RestrictedLaplacian(n=n, bc=bc, matrix=M, sign=sign)
 
 

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 DENSE_BUDGET = 1 << 22  # max entries a dense materialization may hold
-DENSE_LIMIT = 4096  # max rows of an operator factorized densely (eigvalsh, SVD)
+DENSE_LIMIT = 4096  # max rows of an operator factorized densely (SVD)
 
 
 @dataclass(frozen=True)

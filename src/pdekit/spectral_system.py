@@ -87,10 +87,11 @@ def boundary_index_set(basis: str, n: int) -> frozenset:
     return frozenset({plus, minus})
 
 
-def _row_axis_indices(N: int, d: int) -> np.ndarray:
-    """(d, N^d) array of per-axis indices in row order (axis 0 slowest)."""
-    grids = np.meshgrid(*[np.arange(N)] * d, indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids])
+def _closure_axes(basis: str, n: int, d: int) -> np.ndarray:
+    """(d, (n+1)^d) mask: row r (axis 0 slowest) sits on a closure index of axis a."""
+    grids = np.meshgrid(*[np.arange(n + 1)] * d, indexing="ij")
+    idx = np.stack([g.reshape(-1) for g in grids])
+    return np.isin(idx, sorted(boundary_index_set(basis, n)))
 
 
 def embed_boundary(basis: str, n: int, d: int, axis: int, side: str, coeffs) -> np.ndarray:
@@ -147,30 +148,6 @@ def _require_finite(name: str, *arrays) -> None:
         raise ParameterError(f"{name} has non-finite entries")
 
 
-def _place_source(basis: str, n: int, d: int, fhat: np.ndarray) -> np.ndarray:
-    """f-hat with rows dropped where every axis sits on a closure index."""
-    N = n + 1
-    bset = boundary_index_set(basis, n)
-    idx = _row_axis_indices(N, d)
-    all_boundary = np.ones(N ** d, dtype=bool)
-    for a in range(d):
-        all_boundary &= np.isin(idx[a], sorted(bset))
-    out = np.array(fhat, dtype=complex)
-    out[all_boundary] = 0.0
-    return out
-
-
-def _closure_row_mask(basis: str, n: int, d: int) -> np.ndarray:
-    """Boolean mask of rows having any axis on a closure index."""
-    N = n + 1
-    bset = boundary_index_set(basis, n)
-    idx = _row_axis_indices(N, d)
-    mask = np.zeros(N ** d, dtype=bool)
-    for a in range(d):
-        mask |= np.isin(idx[a], sorted(bset))
-    return mask
-
-
 def assemble_system(A, basis: str, n: int, fhat, boundary=None,
                     closure: str = "axes", point_value: complex = 0.0) -> SpectralSystem:
     """Build L and the right-hand side from coefficient-space data.
@@ -201,6 +178,7 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
     if closure not in ("axes", "point", "pin"):
         raise ParameterError(f"closure must be axes, point or pin, got {closure!r}")
 
+    on_closure = _closure_axes(basis, n, d)
     dtype = complex if basis == "fourier" else float
     L = sp.csr_matrix((N ** d, N ** d), dtype=dtype)
     for j in range(d):
@@ -218,7 +196,7 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
                 mixed = term if mixed is None else mixed + term
     if mixed is not None:
         # constraint rows must stay exact; zero the mixed action there
-        keep = ~_closure_row_mask(basis, n, d)
+        keep = ~on_closure.any(axis=0)
         mask = sp.diags(keep.astype(float))
         L = L + mask @ mixed
 
@@ -239,7 +217,8 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
         rhs[center] = point_value
         q = None
     else:
-        rhs = _place_source(basis, n, d, fhat)
+        # rows whose every axis is a closure index are pure constraint rows
+        rhs = np.where(on_closure.all(axis=0), 0.0, fhat)
         plus_terms, minus_terms = [], []
         zeros = np.zeros(N ** (d - 1), dtype=complex) if d > 1 else 0.0
         for j in range(d):
@@ -264,7 +243,7 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
         q = state_prep_q(fhat, plus_terms, minus_terms)[0] if boundary is not None else 1.0
 
     if basis == "chebyshev":
-        rhs_out = rhs.real if np.allclose(rhs.imag, 0.0) else rhs
+        rhs_out = rhs if rhs.imag.any() else rhs.real
     else:
         rhs_out = rhs
     return SpectralSystem(basis=basis, n=int(n), d=int(d), A=A, closure=closure,

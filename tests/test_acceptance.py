@@ -12,40 +12,18 @@ with the bounds unchanged, and report the measured margins.
 
 import math
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES, fit_slope
+from pdekit import suites
 from pdekit.expressions import derivative_sup_bound
 from pdekit.fdm import FdmProblem, assemble, convergence_rows, error_report, solve
 from pdekit.golden import GOLDEN_NAMES, compare_goldens
-from pdekit.laplacian import (
-    build_circulant,
-    condition_number,
-    kronecker_sum,
-    spectral_norm,
-)
 from pdekit.solver import solve_manufactured
-from pdekit.spectral_ops import diff_matrix, gdd_check, random_gdd
-from pdekit.spectral_system import (
-    assemble_system,
-    choose_truncation,
-    condition_report,
-    state_prep_q,
-)
-from pdekit.stencil import make_stencil, second_moment
-from pdekit.transforms import (
-    alternating_phase,
-    centering_phase,
-    cyclic_permutation,
-    dft_matrix,
-    qct_matrix,
-    qsft_matrix,
-    twiddle_phase,
-)
+from pdekit.spectral_system import choose_truncation, state_prep_q
 
 SEED = 20260814
 
@@ -70,45 +48,23 @@ def test_c1_golden_tables():
 
 def test_c2_stencil_identities():
     t0 = time.perf_counter()
-    worst = Fraction(0)
-    for k in range(1, 31):
-        s = make_stencil(k)
-        assert all(isinstance(c, Fraction) for c in s.exact)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            symbol = build_circulant(s, k + 1).symbol
-        assert all(symbol[j] == symbol[-j] for j in range(1, symbol.size))
-        assert s.exact[0] + 2 * sum(s.exact[1:]) == 0
-        # the printed identity carries a minus sign; with this sign
-        # convention (positive center falls out of -u'' ~ +1) the exact
-        # weighted moment is +1, and that is what the closed form gives
-        assert second_moment(s) == 1
-        for j in range(1, k + 1):
-            assert abs(s.exact[j]) <= Fraction(2, j * j)
-            worst = max(worst, abs(s.exact[j]) / Fraction(2, j * j))
-    detail = f"k=1..30 exact rational, decay margin <= {float(worst):.3f}"
-    record("C2", "stencil identities", True, detail,
+    rows = suites.stencil(SEED)
+    ok = all(r["pass"] for r in rows)
+    worst = max(r["decay_margin"] for r in rows)
+    detail = f"k=1..30 exact rational, decay margin <= {worst:.3f}"
+    record("C2", "stencil identities", ok, detail,
            time.perf_counter() - t0, 1.0)
+    assert ok, [r["k"] for r in rows if not r["pass"]]
 
 
 def test_c3_lattice_conditioning():
     t0 = time.perf_counter()
-    c1, c2 = 1.0 / 3.0, 3.0 / 4.0
-    norm_cap = 4.0 * math.pi ** 2 / 3.0
-    ratios, norms = [], []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        for d in (1, 2, 3):
-            for k in (1, 2, 4):
-                for n in (8, 16, 32, 64, 128):
-                    op = kronecker_sum(build_circulant(make_stencil(k), n), d)
-                    ratios.append(condition_number(op) / (d * n * n))
-                    norms.append(spectral_norm(op) / d)
-    ok = (all(c1 <= r <= c2 for r in ratios)
-          and all(v <= norm_cap for v in norms))
+    rows = suites.fdm_kappa(SEED)
+    ok = all(r["pass"] for r in rows)
+    ratios = [r["kappa_over_dn2"] for r in rows]
     detail = (f"kappa/(d n^2) in [{min(ratios):.4f}, {max(ratios):.4f}] "
-              f"within [1/3, 3/4]; per-axis norm <= {max(norms):.4f} "
-              f"(cap {norm_cap:.4f})")
+              f"within [1/3, 3/4]; per-axis norm <= "
+              f"{max(r['norm_1d'] for r in rows):.4f} (cap {suites.NORM_CAP:.4f})")
     record("C3", "lattice kappa and norm windows", ok, detail,
            time.perf_counter() - t0, 30.0)
     assert ok, detail
@@ -116,20 +72,13 @@ def test_c3_lattice_conditioning():
 
 def test_c4_spectral_singular_values():
     t0 = time.perf_counter()
-    margins = {"fourier": 0.0, "chebyshev": 0.0}
-    floors = {"fourier": math.inf, "chebyshev": math.inf}
-    ok = True
-    for n in range(4, 65):
-        for basis in ("fourier", "chebyshev"):
-            M = diff_matrix(basis, 2, n, with_boundary_rows=True).dense()
-            sv = np.linalg.svd(M, compute_uv=False)
-            if basis == "fourier":
-                hi, lo = (2.0 * n) ** 2.5, 1.0 / math.sqrt(2.0)
-            else:
-                hi, lo = float(n) ** 4, 1.0 / 16.0
-            ok = ok and sv[0] <= hi and sv[-1] >= lo
-            margins[basis] = max(margins[basis], sv[0] / hi)
-            floors[basis] = min(floors[basis], sv[-1] / lo)
+    sweeps = {"fourier": suites.svd_fourier(SEED),
+              "chebyshev": suites.svd_chebyshev(SEED)}
+    ok = all(r["pass"] for rows in sweeps.values() for r in rows)
+    margins = {basis: max(r["sigma_max"] / r["max_bound"] for r in rows)
+               for basis, rows in sweeps.items()}
+    floors = {basis: min(r["sigma_min"] / r["min_bound"] for r in rows)
+              for basis, rows in sweeps.items()}
     detail = (f"n=4..64 sigma_max/bound <= {margins['fourier']:.3f} (fourier) "
               f"{margins['chebyshev']:.3f} (cheb); sigma_min/floor >= "
               f"{floors['fourier']:.3f} / {floors['chebyshev']:.3f}")
@@ -190,26 +139,19 @@ def kappa_exceeds(L, bound):
     return lower_sq > Fraction(bound) ** 2
 
 
-def poisson_kappa_sweep(basis):
-    """(d, n, system, condition report) for the d=1..3, n=2..8 Poisson systems."""
-    cases = []
-    for d in (1, 2, 3):
-        for n in range(2, 9):
-            system = assemble_system(np.eye(d), basis, n,
-                                     np.zeros((n + 1) ** d))
-            cases.append((d, n, system, condition_report(system)))
-    return cases
+def poisson_rows(basis):
+    return [r for r in suites.kappa_poisson(SEED) if r["basis"] == basis]
 
 
-def worst_poisson_margin(cases):
-    return max(rep["kappa"] / rep["bound_poisson"] for *_, rep in cases)
+def worst_poisson_margin(rows):
+    return max(r["kappa"] / r["bound"] for r in rows)
 
 
 def test_c5a_poisson_kappa_fourier():
     t0 = time.perf_counter()
-    cases = poisson_kappa_sweep("fourier")
-    ok = all(rep["within_poisson"] for *_, rep in cases)
-    detail = f"d=1..3 n=2..8: kappa/(2n)^4 <= {worst_poisson_margin(cases):.3e}"
+    rows = poisson_rows("fourier")
+    ok = all(r["pass"] for r in rows)
+    detail = f"d=1..3 n=2..8: kappa/(2n)^4 <= {worst_poisson_margin(rows):.3e}"
     record("C5a", "poisson kappa fourth-power bound (fourier)", ok, detail,
            time.perf_counter() - t0, 30.0)
     assert ok, detail
@@ -217,23 +159,22 @@ def test_c5a_poisson_kappa_fourier():
 
 def test_c5b_poisson_kappa_chebyshev():
     t0 = time.perf_counter()
-    cases = poisson_kappa_sweep("chebyshev")
+    rows = poisson_rows("chebyshev")
     # d = 1: C4's envelope sigma_max <= n^4, sigma_min >= 1/16 gives
     # kappa <= 16 n^4 = (2n)^4, so the bound must hold there
-    d1_ok = all(rep["within_poisson"] for d, _, _, rep in cases if d == 1)
+    d1_ok = all(r["pass"] for r in rows if r["d"] == 1)
     # d = 3, n = 2: the closed block [[0,0,4],[1,-1,1],[1,1,1]] has trace 0,
     # so the sum of its three eigenvalues is an exact zero eigenvalue of L
-    singular = next(system for d, n, system, _ in cases if (d, n) == (3, 2))
+    singular = next(r["system"] for r in rows if (r["d"], r["n"]) == (3, 2))
     singular_ok = exact_det(singular.dense()) == 0
-    flagged = [(d, n, system, rep) for d, n, system, rep in cases
-               if not rep["within_poisson"]]
+    flagged = [r for r in rows if not r["pass"]]
     certified = sum(
-        singular_ok if (d, n) == (3, 2)
-        else kappa_exceeds(system.L, rep["bound_poisson"])
-        for d, n, system, rep in flagged)
+        singular_ok if (r["d"], r["n"]) == (3, 2)
+        else kappa_exceeds(r["system"].L, r["bound"])
+        for r in flagged)
     ok = d1_ok and singular_ok and certified == len(flagged)
     detail = (f"d=1..3 n=2..8: kappa/(2n)^4 reaches "
-              f"{worst_poisson_margin(cases):.3e}; {certified}/{len(flagged)} "
+              f"{worst_poisson_margin(rows):.3e}; {certified}/{len(flagged)} "
               f"violations certified (det L {'=' if singular_ok else '!='} 0 "
               f"at d=3 n=2)")
     record("C5b", "poisson kappa fourth-power bound (chebyshev)", ok, detail,
@@ -243,57 +184,40 @@ def test_c5b_poisson_kappa_chebyshev():
     assert certified == len(flagged), detail
 
 
-def gdd_sweep(basis, trials=50):
-    """Per seeded GDD operator: L, its diagonal part L1, L2 L1^{-1} and margins."""
-    rng = np.random.default_rng(SEED)
-    draws = []
-    for _ in range(trials):
-        d = int(rng.integers(2, 4))
-        n = int(rng.integers(3, 7)) if d == 2 else int(rng.integers(2, 5))
-        A = random_gdd(rng, d)
-        info = gdd_check(A)
-        assert info["accepted"]
-        zero = np.zeros((n + 1) ** d)
-        system = assemble_system(A, basis, n, zero)
-        pure = assemble_system(np.diag(np.diag(A)), basis, n, zero).L
-        dense_pure = pure.toarray()
-        mixed = system.L.toarray() - dense_pure
-        M = np.linalg.solve(dense_pure.T, mixed.T).T
-        ratio = np.linalg.norm(M, 2)
-        draws.append({"C": info["C"], "L": system.L, "L1": pure, "M": M,
-                      "rep": condition_report(system), "ratio": ratio,
-                      "within_pert": ratio <= 1.0 - info["C"] + 1e-12})
-    return draws
+def gdd_rows(basis):
+    """The seeded GDD operators of one basis; every draw is GDD-accepted."""
+    rows = [r for r in suites.kappa_general(SEED) if r["basis"] == basis]
+    assert all(r["C"] > 0 for r in rows)
+    return rows
 
 
-def gdd_margins(draws):
-    ok_kappa = sum(bool(dr["rep"]["within_general"]) for dr in draws)
-    ok_pert = sum(bool(dr["within_pert"]) for dr in draws)
-    worst_kappa = max(dr["rep"]["kappa"] / dr["rep"]["bound_general"]
-                      for dr in draws)
-    worst_pert = max(dr["ratio"] / (1.0 - dr["C"]) for dr in draws)
+def gdd_margins(rows):
+    ok_kappa = sum(r["kappa_ok"] for r in rows)
+    ok_pert = sum(r["cross_term_ok"] for r in rows)
+    worst_kappa = max(r["kappa"] / r["kappa_bound"] for r in rows)
+    worst_pert = max(r["perturbation"] / r["pert_bound"] for r in rows)
     return ok_kappa, ok_pert, worst_kappa, worst_pert
 
 
-def cross_term_exceeds(dr):
+def cross_term_exceeds(row):
     """True if ||L2 w||^2 > (1-C)^2 ||L1 w||^2 in exact arithmetic.
 
     w = L1^{-1} z with z the top right singular vector of L2 L1^{-1}, so
     ||L2 w|| / ||L1 w|| is close to ||L2 L1^{-1}||, and any w for which the
     inequality holds proves ||L2 L1^{-1}|| > 1-C.  L2 is L - L1 exactly.
     """
-    z = np.linalg.svd(dr["M"])[2][0]
-    w = exact_vector(np.linalg.solve(dr["L1"].toarray(), z))
-    Lw, L1w = exact_matvec(dr["L"], w), exact_matvec(dr["L1"], w)
+    z = np.linalg.svd(row["M"])[2][0]
+    w = exact_vector(np.linalg.solve(row["L1"].toarray(), z))
+    Lw, L1w = exact_matvec(row["L"], w), exact_matvec(row["L1"], w)
     L2w = [a - b for a, b in zip(Lw, L1w)]
-    return sq_norm(L2w) > (1 - Fraction(dr["C"])) ** 2 * sq_norm(L1w)
+    return sq_norm(L2w) > (1 - Fraction(row["C"])) ** 2 * sq_norm(L1w)
 
 
 def test_c5c_gdd_kappa_fourier():
     t0 = time.perf_counter()
-    draws = gdd_sweep("fourier")
-    trials = len(draws)
-    ok_kappa, ok_pert, worst_kappa, worst_pert = gdd_margins(draws)
+    rows = gdd_rows("fourier")
+    trials = len(rows)
+    ok_kappa, ok_pert, worst_kappa, worst_pert = gdd_margins(rows)
     ok = ok_kappa == trials and ok_pert == trials
     detail = (f"{trials} seeded operators: kappa margin <= {worst_kappa:.3e}, "
               f"cross-term margin <= {worst_pert:.3f}")
@@ -304,21 +228,20 @@ def test_c5c_gdd_kappa_fourier():
 
 def test_c5d_gdd_kappa_chebyshev():
     t0 = time.perf_counter()
-    draws = gdd_sweep("chebyshev")
-    trials = len(draws)
-    ok_kappa, ok_pert, worst_kappa, worst_pert = gdd_margins(draws)
-    kappa_certified = sum(
-        kappa_exceeds(dr["L"], dr["rep"]["bound_general"])
-        for dr in draws if not dr["rep"]["within_general"])
-    pert_certified = sum(cross_term_exceeds(dr)
-                         for dr in draws if not dr["within_pert"])
+    rows = gdd_rows("chebyshev")
+    trials = len(rows)
+    ok_kappa, ok_pert, worst_kappa, worst_pert = gdd_margins(rows)
+    kappa_certified = sum(kappa_exceeds(r["L"], r["kappa_bound"])
+                          for r in rows if not r["kappa_ok"])
+    pert_certified = sum(cross_term_exceeds(r)
+                         for r in rows if not r["cross_term_ok"])
     # where ||L2 L1^{-1}|| <= 1-C holds (up to the 1e-12 slack),
     # L = (I + L2 L1^{-1}) L1 and the Neumann series give
     # sigma_min(L) >= (1 - ||L2 L1^{-1}||) sigma_min(L1) >= C sigma_min(L1)
     neumann_ok = all(
-        dr["rep"]["sigma_min"] >= (dr["C"] - 1e-12)
-        * np.linalg.svd(dr["L1"].toarray(), compute_uv=False)[-1]
-        for dr in draws if dr["within_pert"])
+        r["sigma_min"] >= (r["C"] - suites.CROSS_TERM_SLACK)
+        * np.linalg.svd(r["L1"].toarray(), compute_uv=False)[-1]
+        for r in rows if r["cross_term_ok"])
     ok = (kappa_certified == trials - ok_kappa
           and pert_certified == trials - ok_pert and neumann_ok)
     detail = (f"{trials} seeded operators: kappa within bound {ok_kappa}/{trials} "
@@ -336,26 +259,9 @@ def test_c5d_gdd_kappa_chebyshev():
 
 def test_c6_transform_factorizations():
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in range(1, 64):
-        F = dft_matrix(n)
-        Fs = qsft_matrix(n)
-        S = np.diag(centering_phase(n))
-        R = np.diag(alternating_phase(n))
-        T = np.diag(twiddle_phase(n))
-        P = cyclic_permutation(n)
-        Q = qct_matrix(n)
-        eye = np.eye(n + 1)
-        worst = max(
-            worst,
-            np.abs(Fs - S @ F @ R).max(),
-            np.abs(P - F @ T @ np.conj(F.T)).max(),
-            np.abs(Fs @ np.conj(Fs.T) - eye).max(),
-            np.abs(F @ np.conj(F.T) - eye).max(),
-            np.abs(Q @ Q - eye).max(),
-            np.abs(Q - Q.T).max(),
-        )
-    ok = worst <= 1e-12
+    rows = suites.transforms(SEED)
+    ok = all(r["pass"] for r in rows)
+    worst = max(r["worst"] for r in rows)
     detail = f"sizes 2..64: worst factorization/unitarity deviation {worst:.2e}"
     record("C6", "shifted-basis transform factorizations", ok, detail,
            time.perf_counter() - t0, 10.0)

@@ -10,8 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from pdekit import fdm
 from pdekit.errors import (
     CompatibilityError,
+    ConvergenceFailure,
     ParameterError,
     SymmetryViolation,
 )
@@ -27,6 +29,7 @@ from pdekit.fdm import (
 from pdekit.images import fold_vector, restrict
 from pdekit.laplacian import build_circulant, condition_number, eigenvalues_1d, kronecker_sum
 from pdekit.stencil import make_stencil
+from pdekit.tensor import axis_sum
 
 from conftest import fit_slope
 
@@ -169,6 +172,17 @@ class TestGridAndAssembly:
         expected = (np.kron(R, eye) + np.kron(eye, R)) / h ** 2
         assert np.allclose(system.matrix.toarray(), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("d,n,k", [(1, 32, 5), (2, 12, 3), (3, 8, 2)])
+    def test_sector_spectrum_matches_dense_eigvalsh(self, bc, d, n, k):
+        h = math.pi / n
+        fn = np.sin if bc == "dirichlet" else np.cos
+        f = lambda *X: np.prod([fn(x + h / 2) for x in X], axis=0)
+        system = assemble(FdmProblem(d=d, n=n, k=k, rhs_sampler=f, bc=bc))
+        closed = np.sort(axis_sum(system.eig_axis, d).reshape(-1)) / h ** 2
+        dense = np.linalg.eigvalsh(system.matrix.toarray())
+        assert np.allclose(closed, dense, rtol=0.0, atol=1e-12 * np.abs(dense).max())
+
     def test_restricted_rhs_is_folded_sample(self):
         n, k = 6, 1
         h = math.pi / n
@@ -243,6 +257,27 @@ class TestSolvePaths:
         # the folded trig sample is an eigenvector of the restricted
         # operator, so conjugate gradient lands in one step
         assert field.iterations == 1
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_zero_source_solves_to_zero(self, bc):
+        p = FdmProblem(d=2, n=8, k=2, rhs_sampler=lambda x, y: 0.0 * x * y, bc=bc)
+        field = solve(assemble(p))
+        assert field.iterations == 0 and field.residual == 0.0
+        assert not field.values.any()
+
+    def test_unattainable_tolerance_stops_when_restarts_stall(self, monkeypatch):
+        # below the rounding floor only the recurred residual keeps falling:
+        # CG must raise with the true one within hundreds of iterations, not
+        # run to its cap of thousands
+        h = math.pi / 16
+        g = lambda x: sum(np.sin(m * (x + h / 2)) / m for m in (1, 3, 7))
+        p = FdmProblem(d=2, n=16, k=3, rhs_sampler=lambda x, y: g(x) * g(y),
+                       bc="dirichlet")
+        monkeypatch.setattr(fdm, "CG_TOL", 1e-20)
+        stall = r"after \d{1,3} iterations \(cap \d{4,}\)"
+        with pytest.raises(ConvergenceFailure, match=stall) as err:
+            solve(assemble(p))
+        assert 1e-20 < err.value.residual < 1e-12
 
     def test_cg_on_periodic_pins_mean(self):
         p = FdmProblem(d=1, n=8, k=1, rhs_sampler=lambda x: np.sin(2 * x))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pdekit.errors import DegenerateRhs, ParameterError
+from pdekit.solver import solve_system
 from pdekit.spectral_ops import diff_matrix
 from pdekit.spectral_system import (
     assemble_system,
@@ -151,6 +152,13 @@ def test_rhs_layout_chebyshev():
                 want += 3.0 * 80.0
             assert rhs[k0, k1] == pytest.approx(want)
     assert system.rhs.dtype == np.float64  # real data stays real
+
+
+def test_small_imaginary_chebyshev_rhs_stays_complex():
+    # an imaginary part below np.allclose's absolute 1e-8 is still data
+    system = assemble_system(np.eye(1), "chebyshev", 4, np.ones(5) + 1e-9j)
+    assert np.iscomplexobj(system.rhs)
+    assert np.abs(solve_system(system).coeffs.imag).max() > 0
 
 
 def test_rhs_layout_fourier():
