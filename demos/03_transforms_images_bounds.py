@@ -49,7 +49,7 @@ folded = fold_vector(odd, "dirichlet")
 back = unfold_vector(folded, "dirichlet")
 print(f"odd sample folds to length {folded.size}, unfolds with deviation "
       f"{np.abs(back - odd).max():.1e}")
-R = restrict(make_stencil(1), n, "dirichlet").matrix
+R = restrict(make_stencil(1), n, "dirichlet")
 print(f"restricted second-difference corner entry: {R[0, 0]:.0f} "
       "(reflection pulls the ghost site back inside)")
 

@@ -21,10 +21,8 @@ from .expressions import (ProductExpression, SumExpression, builtin_expression,
                           derivative_sup_bound)
 from .fdm import FdmProblem, assemble, error_report, select_parameters, solve
 from .golden import compare_goldens, generate_golden, reference_golden
-from .images import RestrictedLaplacian, fold_vector, restrict, unfold_vector
-from .laplacian import (CirculantOperator, build_circulant, condition_number,
-                        condition_number_1d, eigenvalues_1d, kronecker_sum,
-                        spectral_norm)
+from .images import fold_vector, restrict, unfold_vector
+from .laplacian import condition_number, eigenvalues_1d, spectral_norm
 from .matrixio import read_coordinate, write_coordinate
 from .solver import (SolveResult, analyze_values, convergence_study, error_metrics,
                      evaluate_at, manufactured_problem, nodes, solve_manufactured,

@@ -21,11 +21,12 @@ from . import suites
 from .errors import PdekitError, SpecError
 from .expressions import builtin_expression
 from .golden import GOLDEN_NAMES, compare_goldens, generate_golden
-from .laplacian import DENSE_LIMIT, build_circulant, condition_number, kronecker_sum
+from .laplacian import condition_number
 from .matrixio import write_coordinate
 from .solver import analyze_values, node_grids, solve_manufactured, solve_system
-from .spectral_system import assemble_system, choose_truncation, condition_report
-from .stencil import make_stencil
+from .spectral_ops import DENSE_LIMIT
+from .spectral_system import (assemble_system, certified_truncation_order,
+                              choose_truncation, condition_report)
 
 SUITES = tuple(suites.SUITES)
 
@@ -112,13 +113,21 @@ def _load_spec(args) -> dict:
     return spec
 
 
+def _parse(kind, value, name):
+    """kind(value) for one spec field; a value it rejects is a SpecError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"invalid {name} {value!r}: {exc}") from exc
+
+
 def _coeff_matrix(spec, d):
     A = spec.get("A", "identity")
     if isinstance(A, str):
         if A != "identity":
             raise SpecError(f"A must be 'identity' or a {d}x{d} matrix, got {A!r}")
         return np.eye(d)
-    A = np.asarray(A, dtype=float)
+    A = _parse(lambda a: np.asarray(a, dtype=float), A, "A")
     if A.shape != (d, d):
         raise SpecError(f"A has shape {A.shape}, expected ({d}, {d})")
     return A
@@ -141,7 +150,7 @@ def _solve_spectral(spec, outdir, fmt) -> int:
     basis = spec.get("basis")
     if basis not in ("fourier", "chebyshev"):
         raise SpecError(f"basis must be fourier or chebyshev, got {basis!r}")
-    d = int(spec.get("d", 0))
+    d = _parse(int, spec.get("d", 0), "d")
     if d < 1:
         raise SpecError("d must be a positive integer")
     A = _coeff_matrix(spec, d)
@@ -149,12 +158,16 @@ def _solve_spectral(spec, outdir, fmt) -> int:
     meta = {"method": "spectral", "basis": basis, "d": d}
     if n == "auto":
         auto = spec.get("auto")
-        if not auto or not all(key in auto for key in ("eps", "g", "gprime")):
+        if not isinstance(auto, dict) or not all(key in auto for key in ("eps", "g", "gprime")):
             raise SpecError("auto-n requires auto: {eps, g, gprime}")
-        n = choose_truncation(float(auto["g"]), float(auto["gprime"]), float(auto["eps"]))
-        meta["auto"] = dict(auto)
-    n = int(n) if n is not None else None
-    if n is None or n < 2:
+        g, gprime, eps = (_parse(float, auto[key], f"auto.{key}")
+                          for key in ("g", "gprime", "eps"))
+        # the printed closed formula undershoots its own inequality; solve
+        # at the certified order and record both
+        n = certified_truncation_order(g, gprime, eps)
+        meta["auto"] = dict(auto, n_certified=n, n_formula=choose_truncation(g, gprime, eps))
+    n = _parse(int, n, "n")
+    if n < 2:
         raise SpecError("n must be an integer >= 2 or 'auto'")
     meta["n"] = n
 
@@ -179,6 +192,10 @@ def _solve_spectral(spec, outdir, fmt) -> int:
                 raise SpecError("boundary data 'gamma' is required for this problem")
             if np.isscalar(gamma):
                 gamma = [[gamma, gamma]] * d
+            gamma = _parse(lambda g: np.asarray(g, dtype=complex), gamma, "gamma")
+            if gamma.shape != (d, 2):
+                raise SpecError(f"gamma must be a number or {d} pairs [g+, g-], "
+                                f"got shape {gamma.shape}")
             boundary = []
             for j in range(d):
                 gp, gm = gamma[j]
@@ -188,7 +205,7 @@ def _solve_spectral(spec, outdir, fmt) -> int:
             system = assemble_system(A, basis, n, fhat, boundary=boundary)
         else:
             system = assemble_system(A, basis, n, fhat, closure=closure,
-                                     point_value=complex(gamma or 0.0))
+                                     point_value=_parse(complex, gamma or 0.0, "gamma"))
         result = solve_system(system)
         values = result.node_values()
     meta["runtime_ms"] = 1e3 * (time.perf_counter() - t0)
@@ -226,7 +243,7 @@ def _laplacian_sampler(expr):
 
 
 def _solve_fdm(spec, outdir, fmt) -> int:
-    d = int(spec.get("d", 0))
+    d = _parse(int, spec.get("d", 0), "d")
     if d < 1:
         raise SpecError("d must be a positive integer")
     bc = spec.get("bc", "periodic")
@@ -240,27 +257,30 @@ def _solve_fdm(spec, outdir, fmt) -> int:
     expr = builtin_expression(name, d)
     sample_f = _laplacian_sampler(expr)
     sample_u = _value_sampler(expr)
-    k = int(spec.get("k", 1))
+    k = _parse(int, spec.get("k", 1), "k")
     n = spec.get("n")
+    if n == []:
+        raise SpecError("n must be an integer or a nonempty list of integers")
     if isinstance(n, list):
-        rows = fdm_mod.convergence_rows(d, k, [int(v) for v in n],
-                                        sample_f, sample_u, bc=bc)
+        rows = fdm_mod.convergence_rows(d, k, [_parse(int, v, "n") for v in n],
+                                        sample_f, sample_u)
         _print_table(rows, list(rows[0].keys()))
         _emit_rows(rows, Path(outdir) if outdir else Path("."), "fdm_sweep", fmt)
         return 0
-    n = int(n)
+    n = _parse(int, n, "n")
 
     p = fdm_mod.FdmProblem(d=d, n=n, k=k, rhs_sampler=sample_f,
                            exact_solution=sample_u, bc=bc)
     t0 = time.perf_counter()
-    field_ = fdm_mod.solve(fdm_mod.assemble(p))
+    system = fdm_mod.assemble(p)
+    field_ = fdm_mod.solve(system)
     meta = {
         "method": "fdm", "d": d, "n": n, "k": k, "bc": bc,
         "solver": field_.method,
         "residual": field_.residual,
         "runtime_ms": 1e3 * (time.perf_counter() - t0),
         "errors": fdm_mod.error_report(field_),
-        "kappa": condition_number(kronecker_sum(build_circulant(make_stencil(k), n), d)),
+        "kappa": condition_number(system.eig_axis, d),
     }
     _write_solution(outdir, fmt, "lattice", n, d, field_.values, meta)
     return 0

@@ -18,15 +18,12 @@ Entry formulas, with r_j = 0 for j > k and s = +1 (Neumann), -1 (Dirichlet):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError, SymmetryViolation
 from .stencil import Stencil
 
 __all__ = [
-    "RestrictedLaplacian",
     "restrict",
     "fold_vector",
     "unfold_vector",
@@ -35,20 +32,7 @@ __all__ = [
 _BCS = ("neumann", "dirichlet", "dirichlet_alt")
 
 
-@dataclass(frozen=True)
-class RestrictedLaplacian:
-    n: int
-    bc: str
-    matrix: np.ndarray
-    sign: int  # +1 symmetric sector, -1 antisymmetric
-
-    @property
-    def parent_sites(self) -> int:
-        """Size of the periodic lattice this restriction folds."""
-        return 2 * self.n + (2 if self.bc == "dirichlet_alt" else 0)
-
-
-def restrict(s: Stencil, n: int, bc: str) -> RestrictedLaplacian:
+def restrict(s: Stencil, n: int, bc: str) -> np.ndarray:
     """Restricted Laplacian matrix for the given boundary condition.
 
     Requires k < n/2 so the two edge corrections cannot collide in one
@@ -65,11 +49,10 @@ def restrict(s: Stencil, n: int, bc: str) -> RestrictedLaplacian:
     if bc == "dirichlet_alt":
         M = np.zeros((n + 1, n + 1))
         M[:n, :n] = r[abs(i - j)] - r[i + j + 2] - r[2 * n - i - j]
-        return RestrictedLaplacian(n=n, bc=bc, matrix=M, sign=-1)
+        return M
 
     sign = 1 if bc == "neumann" else -1
-    M = r[abs(i - j)] + sign * (r[i + j + 1] + r[2 * n - i - j - 1])
-    return RestrictedLaplacian(n=n, bc=bc, matrix=M, sign=sign)
+    return r[abs(i - j)] + sign * (r[i + j + 1] + r[2 * n - i - j - 1])
 
 
 def _pairing(n: int, bc: str):

@@ -38,6 +38,7 @@ __all__ = [
 
 BASES = ("fourier", "chebyshev")
 SYSTEM_BUDGET = 1 << 17  # max rows of an assembled operator (storage is sparse)
+DENSE_LIMIT = 4096  # max rows of an operator factorized densely (SVD)
 
 
 @dataclass(frozen=True)
@@ -52,30 +53,22 @@ class DiffMatrix:
         return self.sparse.toarray()
 
 
-def _sigma(k: int) -> float:
-    return 2.0 if k == 0 else 1.0
+def _cheb_pairs(n: int, offset: int):
+    """(k, r, sigma_k) over r >= k + offset with k + r of offset's parity, row-major."""
+    k, r = np.triu_indices(n + 1, offset)
+    keep = (k + r) % 2 == offset % 2
+    k, r = k[keep], r[keep]
+    return k, r, np.where(k == 0, 2.0, 1.0)
 
 
 def _cheb_first(n: int) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for k in range(n + 1):
-        for r in range(k + 1, n + 1):
-            if (k + r) % 2 == 1:
-                rows.append(k)
-                cols.append(r)
-                vals.append(2.0 * r / _sigma(k))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
+    k, r, sigma = _cheb_pairs(n, 1)
+    return sp.csr_matrix((2.0 * r / sigma, (k, r)), shape=(n + 1, n + 1))
 
 
 def _cheb_second(n: int) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for k in range(n + 1):
-        for r in range(k + 2, n + 1):
-            if (k + r) % 2 == 0:
-                rows.append(k)
-                cols.append(r)
-                vals.append(r * (r * r - k * k) / _sigma(k))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
+    k, r, sigma = _cheb_pairs(n, 2)
+    return sp.csr_matrix((r * (r * r - k * k) / sigma, (k, r)), shape=(n + 1, n + 1))
 
 
 def boundary_row_indices(basis: str, n: int) -> tuple:

@@ -29,8 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateRhs, ParameterError
-from .laplacian import DENSE_LIMIT as DENSE_SVD_LIMIT
-from .spectral_ops import BASES, boundary_row_indices, diff_matrix, gdd_check, multi_diff
+from .spectral_ops import (BASES, DENSE_LIMIT as DENSE_SVD_LIMIT, boundary_row_indices,
+                           diff_matrix, gdd_check, multi_diff)
 
 __all__ = [
     "choose_truncation",

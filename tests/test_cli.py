@@ -139,8 +139,10 @@ class TestSolveSpectral:
         assert main(["solve", "--spec", str(path), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         meta = json.loads((tmp_path / "metadata.json").read_text())
-        assert meta["n"] == 5
-        assert meta["auto"] == {"eps": 1e-6, "g": 1.0, "gprime": 1.0}
+        # solved at the certified order; the printed formula's order rides along
+        assert meta["n"] == 8
+        assert meta["auto"] == {"eps": 1e-6, "g": 1.0, "gprime": 1.0,
+                                "n_certified": 8, "n_formula": 5}
 
     def test_source_path_with_boundary_data(self, tmp_path, capsys):
         spec = {"method": "spectral", "basis": "chebyshev", "d": 1,
@@ -185,6 +187,23 @@ class TestSolveSpectral:
         path.write_text(json.dumps(spec))
         assert main(["solve", "--spec", str(path), "--out", str(tmp_path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("spec", [
+        {"method": "fdm", "d": 1, "k": 1, "solution": "sin"},
+        {"method": "fdm", "d": "two", "n": 16, "k": 1, "solution": "sin"},
+        {"method": "spectral", "basis": "fourier", "d": 2, "n": 8,
+         "A": [[1, 0], [0, "x"]], "solution": "exp-sin-pi"},
+        {"method": "spectral", "basis": "chebyshev", "d": 2, "n": 8, "f": "one",
+         "gamma": [[1]]},
+        {"method": "fdm", "d": 1, "n": [], "k": 1, "solution": "sin"},
+        {"method": "spectral", "basis": "fourier", "d": 1, "n": 8, "f": "sin-pi",
+         "closure": "point", "gamma": "x"},
+    ])
+    def test_malformed_fields_are_spec_errors(self, spec, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["solve", "--spec", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("spec error:")
 
     def test_unreadable_specs(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

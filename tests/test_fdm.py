@@ -27,11 +27,11 @@ from pdekit.fdm import (
     solve,
 )
 from pdekit.images import fold_vector, restrict
-from pdekit.laplacian import build_circulant, condition_number, eigenvalues_1d, kronecker_sum
+from pdekit.laplacian import condition_number, eigenvalues_1d
 from pdekit.stencil import make_stencil
-from pdekit.tensor import axis_sum
+from pdekit.tensor import axis_sum, kron_sum
 
-from conftest import fit_slope
+from conftest import circulant, fit_slope
 
 
 def u_exp_sin(x):
@@ -125,9 +125,8 @@ class TestGridAndAssembly:
         n, k = 8, 2
         p = FdmProblem(d=1, n=n, k=k, rhs_sampler=lambda x: np.sin(x))
         system = assemble(p)
-        op = build_circulant(make_stencil(k), n)
-        assert np.allclose(system.eig_axis, eigenvalues_1d(op))
-        dense = op.dense_1d() / p.h ** 2
+        assert np.allclose(system.eig_axis, eigenvalues_1d(make_stencil(k), n))
+        dense = circulant(k, n) / p.h ** 2
         v = rng.standard_normal(2 * n)
         assert np.allclose(system.matvec(v), dense @ v, atol=1e-10)
 
@@ -135,7 +134,7 @@ class TestGridAndAssembly:
         n, k = 4, 1
         p = FdmProblem(d=2, n=n, k=k, rhs_sampler=f_sin2)
         system = assemble(p)
-        dense = kronecker_sum(build_circulant(make_stencil(k), n), 2).dense() / p.h ** 2
+        dense = kron_sum(circulant(k, n), 2).toarray() / p.h ** 2
         v = rng.standard_normal((2 * n) ** 2)
         assert np.allclose(system.matvec(v), dense @ v, atol=1e-10)
 
@@ -161,13 +160,13 @@ class TestGridAndAssembly:
         with pytest.raises(ParameterError, match="non-finite"):
             assemble(FdmProblem(d=1, n=8, k=1, rhs_sampler=f, bc=bc))
 
-    def test_dirichlet_matrix_is_restricted_kronecker_sum(self):
+    def test_dirichlet_matrix_is_restricted_kron_sum(self):
         n, k = 6, 1
         h = math.pi / n
         f = lambda x, y: np.sin(x + h / 2) * np.sin(y + h / 2)
         p = FdmProblem(d=2, n=n, k=k, rhs_sampler=f, bc="dirichlet")
         system = assemble(p)
-        R = restrict(make_stencil(k), n, "dirichlet").matrix
+        R = restrict(make_stencil(k), n, "dirichlet")
         eye = np.eye(R.shape[0])
         expected = (np.kron(R, eye) + np.kron(eye, R)) / h ** 2
         assert np.allclose(system.matrix.toarray(), expected, atol=1e-12)
@@ -182,6 +181,13 @@ class TestGridAndAssembly:
         closed = np.sort(axis_sum(system.eig_axis, d).reshape(-1)) / h ** 2
         dense = np.linalg.eigvalsh(system.matrix.toarray())
         assert np.allclose(closed, dense, rtol=0.0, atol=1e-12 * np.abs(dense).max())
+        # the closed-form kappa; Dirichlet sectors have no kernel, Neumann
+        # ones the constant
+        mag = np.abs(dense)
+        nonzero = mag[mag > 1e-10 * mag.max()]
+        assert mag.size - nonzero.size == (bc == "neumann")
+        assert condition_number(system.eig_axis, d) == pytest.approx(
+            nonzero.max() / nonzero.min(), rel=1e-10)
 
     def test_restricted_rhs_is_folded_sample(self):
         n, k = 6, 1
@@ -317,8 +323,9 @@ class TestConvergence:
         (row,) = rows
         assert set(row) == {"n", "k", "d", "l2_rel", "linf", "kappa", "runtime_ms"}
         assert row["l2_rel"] == pytest.approx(2.6069e-4, rel=1e-3)
-        assert row["kappa"] == pytest.approx(
-            condition_number(kronecker_sum(build_circulant(make_stencil(2), 8), 1)))
+        lam = np.abs(np.linalg.eigvalsh(circulant(2, 8)))
+        lam = lam[lam > 1e-10 * lam.max()]  # the constant kernel drops out
+        assert row["kappa"] == pytest.approx(lam.max() / lam.min(), rel=1e-10)
         assert row["runtime_ms"] >= 0.0
 
     @pytest.mark.parametrize("k,frozen", [(1, -1.0035), (2, -2.9939)])
@@ -370,7 +377,7 @@ class TestEigenvalueEnvelope:
         ns = [8, 16, 32, 64]
         devs = []
         for n in ns:
-            lam = eigenvalues_1d(build_circulant(make_stencil(k), n))
+            lam = eigenvalues_1d(make_stencil(k), n)
             dev = abs(lam[1] + math.pi ** 2 / n ** 2)
             assert dev <= 10.0 * k ** 3 / n ** 4
             devs.append(dev)

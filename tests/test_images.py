@@ -5,8 +5,9 @@ import pytest
 
 from pdekit.errors import ParameterError, SymmetryViolation
 from pdekit.images import fold_vector, restrict, unfold_vector
-from pdekit.laplacian import build_circulant
 from pdekit.stencil import make_stencil
+
+from conftest import circulant
 
 
 def fold_matrix(n, bc):
@@ -30,16 +31,16 @@ def fold_matrix(n, bc):
 def test_restriction_equals_folded_circulant(bc, k, n):
     s = make_stencil(k)
     parent_n = n + 1 if bc == "dirichlet_alt" else n
-    L = build_circulant(s, parent_n).dense_1d()
+    L = circulant(k, parent_n)
     F = fold_matrix(n, bc)
-    got = restrict(s, n, bc).matrix
+    got = restrict(s, n, bc)
     assert np.allclose(got, F @ L @ F.T, atol=1e-14)
 
 
 def test_low_order_corner_entries():
-    d = restrict(make_stencil(1), 5, "dirichlet").matrix
-    m = restrict(make_stencil(1), 5, "neumann").matrix
-    a = restrict(make_stencil(1), 5, "dirichlet_alt").matrix
+    d = restrict(make_stencil(1), 5, "dirichlet")
+    m = restrict(make_stencil(1), 5, "neumann")
+    a = restrict(make_stencil(1), 5, "dirichlet_alt")
     assert d[0, 0] == -3.0 and d[-1, -1] == -3.0
     assert m[0, 0] == -1.0 and m[-1, -1] == -1.0
     # point reflection: interior path Laplacian padded by a zero row/column
@@ -50,7 +51,7 @@ def test_low_order_corner_entries():
 
 def test_restriction_symmetric_negative_definite():
     for bc in ("dirichlet", "neumann"):
-        M = restrict(make_stencil(2), 8, bc).matrix
+        M = restrict(make_stencil(2), 8, bc)
         assert np.allclose(M, M.T, atol=1e-15)
         lam = np.linalg.eigvalsh(M)
         if bc == "dirichlet":
@@ -61,8 +62,13 @@ def test_restriction_symmetric_negative_definite():
 
 
 def test_parent_sites_and_collision_guard():
-    assert restrict(make_stencil(1), 4, "dirichlet").parent_sites == 8
-    assert restrict(make_stencil(1), 4, "dirichlet_alt").parent_sites == 10
+    # n sector sites fold 2n parent sites, or 2n + 2 through lattice points
+    assert restrict(make_stencil(1), 4, "dirichlet").shape == (4, 4)
+    assert restrict(make_stencil(1), 4, "dirichlet_alt").shape == (5, 5)
+    assert fold_vector(np.zeros(8), "dirichlet", n=4).shape == (4,)
+    assert fold_vector(np.zeros(10), "dirichlet_alt", n=4).shape == (5,)
+    with pytest.raises(ParameterError):
+        fold_vector(np.zeros(8), "dirichlet_alt", n=4)
     with pytest.raises(ParameterError):
         restrict(make_stencil(3), 6, "dirichlet")  # needs k < n/2
     with pytest.raises(ParameterError):
@@ -109,7 +115,7 @@ def test_fold_commutes_with_operator():
     h = np.pi / n
     x = h * np.arange(2 * n)
     v = np.sin(3 * (x + h / 2))
-    L = build_circulant(s, n).dense_1d()
-    R = restrict(s, n, "dirichlet").matrix
+    L = circulant(2, n)
+    R = restrict(s, n, "dirichlet")
     assert np.allclose(fold_vector(L @ v, "dirichlet"), R @ fold_vector(v, "dirichlet"),
                        atol=1e-12)

@@ -5,6 +5,8 @@ import io
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdekit.errors import ParameterError
 from pdekit.matrixio import (
@@ -28,12 +30,19 @@ def test_entries_one_indexed_row_major():
     assert lines[2].startswith("2 1 ")
 
 
-def test_round_trip_bit_exact(rng):
-    M = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
-    M[rng.random((7, 5)) < 0.4] = 0.0
-    back = parse_coordinate(format_coordinate(M))
-    assert back.shape == (7, 5)
-    assert np.array_equal(back.toarray(), M)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.booleans(), st.data())
+def test_round_trip_bit_exact(rows, cols, sparse, data):
+    entries = st.complex_numbers(allow_nan=False, allow_infinity=False)
+    M = np.array(data.draw(st.lists(st.one_of(st.just(0j), entries),
+                                    min_size=rows * cols, max_size=rows * cols)),
+                 dtype=complex).reshape(rows, cols)
+    back = parse_coordinate(format_coordinate(sp.csr_matrix(M) if sparse else M)).tocoo()
+    assert back.shape == (rows, cols)
+    # the nonzeros, row-major, bit for bit (signed zero parts included)
+    i, j = np.nonzero(M)
+    assert np.array_equal(back.row, i) and np.array_equal(back.col, j)
+    assert np.array_equal(back.data.view(np.uint64), M[i, j].view(np.uint64))
 
 
 def test_round_trip_preserves_tiny_and_huge(rng):

@@ -62,6 +62,22 @@ def test_chebyshev_triangle_structure():
     assert D1[1, 2] == 4.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 6, 11, 40])
+def test_chebyshev_entries_match_formula_loops(n):
+    # entry by entry: 2r/sigma_k where k + r is odd, r(r^2 - k^2)/sigma_k
+    # where it is even, above the diagonal only
+    want1, want2 = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1))
+    for k in range(n + 1):
+        sigma = 2.0 if k == 0 else 1.0
+        for r in range(k + 1, n + 1):
+            if (k + r) % 2:
+                want1[k, r] = 2.0 * r / sigma
+            else:
+                want2[k, r] = r * (r * r - k * k) / sigma
+    assert np.array_equal(diff_matrix("chebyshev", 1, n).dense(), want1)
+    assert np.array_equal(diff_matrix("chebyshev", 2, n).dense(), want2)
+
+
 def test_chebyshev_closure_rows():
     n = 5
     Dc = diff_matrix("chebyshev", 2, n, with_boundary_rows=True).dense()
