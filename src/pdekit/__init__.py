@@ -27,7 +27,7 @@ from .matrixio import read_coordinate, write_coordinate
 from .solver import (SolveResult, analyze_values, convergence_study, error_metrics,
                      evaluate_at, manufactured_problem, nodes, solve_manufactured,
                      solve_system, synthesize_nodes)
-from .spectral_ops import DiffMatrix, boundary_row_indices, diff_matrix, gdd_check, multi_diff
+from .spectral_ops import boundary_row_indices, diff_matrix, gdd_check, multi_diff
 from .spectral_system import (SpectralSystem, assemble_system, certified_truncation_order,
                               choose_truncation, condition_report, poisson_system,
                               state_prep_q)

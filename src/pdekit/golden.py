@@ -37,21 +37,21 @@ GOLDEN_NAMES = (
 
 
 def _fourier_kron_open() -> np.ndarray:
-    return kron_sum(diff_matrix("fourier", 2, 2).sparse, 2).toarray()
+    return kron_sum(diff_matrix("fourier", 2, 2), 2).toarray()
 
 
 def generate_golden(name: str) -> np.ndarray:
     """Build the named matrix from the library operators."""
     if name == "fourier_d1":
-        return diff_matrix("fourier", 1, 2).dense()
+        return diff_matrix("fourier", 1, 2).toarray()
     if name == "fourier_d1_squared":
-        return diff_matrix("fourier", 2, 2).dense()
+        return diff_matrix("fourier", 2, 2).toarray()
     if name == "chebyshev_d1":
-        return diff_matrix("chebyshev", 1, 3).dense()
+        return diff_matrix("chebyshev", 1, 3).toarray()
     if name == "chebyshev_d1_squared":
-        return diff_matrix("chebyshev", 2, 3).dense()
+        return diff_matrix("chebyshev", 2, 3).toarray()
     if name == "chebyshev_d1_closed":
-        return diff_matrix("chebyshev", 2, 3, with_boundary_rows=True).dense()
+        return diff_matrix("chebyshev", 2, 3, with_boundary_rows=True).toarray()
     if name == "fourier_poisson_9":
         L = _fourier_kron_open()
         L[4, :] = 0.0

@@ -130,10 +130,6 @@ class SolveResult:
         return synthesize_nodes(self.system.basis, self.coeffs,
                                 self.system.n, self.system.d)
 
-    def __call__(self, points) -> np.ndarray:
-        return evaluate_at(self.system.basis, self.coeffs,
-                           self.system.n, self.system.d, points)
-
 
 def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
     """Direct sparse solve with a relative-residual certificate."""
@@ -172,28 +168,24 @@ def error_metrics(u_exact, u_approx) -> dict:
     return {"l2_rel": l2_rel, "l2_normalized": l2_normalized, "sup": sup}
 
 
-def _boundary_data(expr, A, basis: str, n: int):
-    """Per-axis closure data for a manufactured solution expression."""
+def _boundary_data(expr, basis: str, n: int):
+    """Per-axis (plus, minus) closure data for a manufactured solution expression.
+
+    Chebyshev takes the traces on the faces x_j = +1 and -1; the periodic
+    basis takes the x_j = 0 slice in the plus slot and leaves minus None.
+    """
     d = expr.d
+    faces = (1.0, -1.0) if basis == "chebyshev" else (0.0,)
     out = []
     for j in range(d):
-        if basis == "chebyshev":
-            faces = []
-            for xv in (1.0, -1.0):
-                scale, rest = expr.boundary_trace(j, xv)
-                if rest is None:
-                    faces.append(scale)
-                else:
-                    vals = rest.value(node_grids(basis, n, d - 1))
-                    faces.append(scale * analyze_values(basis, vals, n, d - 1))
-            out.append((faces[0], faces[1]))
-        else:
-            scale, rest = expr.boundary_trace(j, 0.0)
-            if rest is None:
-                out.append((scale, None))
-            else:
+        pair = [None, None]
+        for slot, xv in enumerate(faces):
+            scale, rest = expr.boundary_trace(j, xv)
+            if rest is not None:
                 vals = rest.value(node_grids(basis, n, d - 1))
-                out.append((scale * analyze_values(basis, vals, n, d - 1), None))
+                scale = scale * analyze_values(basis, vals, n, d - 1)
+            pair[slot] = scale
+        out.append(tuple(pair))
     return out
 
 
@@ -218,8 +210,8 @@ def manufactured_problem(expr, A, basis: str, n: int, closure: str = "axes"):
         system = assemble_system(A, basis, n, fhat, closure="point",
                                  point_value=center)
     else:
-        boundary = _boundary_data(expr, A, basis, n)
-        system = assemble_system(A, basis, n, fhat, boundary=boundary)
+        boundary = _boundary_data(expr, basis, n)
+        system = assemble_system(A, basis, n, fhat, boundary=boundary, closure=closure)
     return system, u_exact
 
 
@@ -244,7 +236,7 @@ def convergence_study(expr, A, basis: str, n_values, closure: str = "axes",
 
     Columns: basis, d, n, raw_l2, normalized_l2, kappa, q, residual,
     runtime_ms.  kappa costs a dense SVD per n and is skipped (NaN) unless
-    requested.
+    requested; a requested kappa above DENSE_LIMIT rows raises BudgetExceeded.
     """
     rows = []
     for n in n_values:

@@ -19,8 +19,6 @@ row, the Chebyshev ones keep the parity-structured triangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -28,7 +26,6 @@ from .errors import BudgetExceeded, ParameterError
 from .tensor import kron
 
 __all__ = [
-    "DiffMatrix",
     "diff_matrix",
     "multi_diff",
     "boundary_row_indices",
@@ -39,18 +36,6 @@ __all__ = [
 BASES = ("fourier", "chebyshev")
 SYSTEM_BUDGET = 1 << 17  # max rows of an assembled operator (storage is sparse)
 DENSE_LIMIT = 4096  # max rows of an operator factorized densely (SVD)
-
-
-@dataclass(frozen=True)
-class DiffMatrix:
-    basis: str
-    order: int
-    n: int
-    with_boundary_rows: bool
-    sparse: sp.csr_matrix
-
-    def dense(self) -> np.ndarray:
-        return self.sparse.toarray()
 
 
 def _cheb_pairs(n: int, offset: int):
@@ -87,7 +72,7 @@ def boundary_row_indices(basis: str, n: int) -> tuple:
     raise ParameterError(f"basis must be one of {BASES}, got {basis!r}")
 
 
-def diff_matrix(basis: str, order: int, n: int, with_boundary_rows: bool = False) -> DiffMatrix:
+def diff_matrix(basis: str, order: int, n: int, with_boundary_rows: bool = False) -> sp.csr_matrix:
     """Differentiation matrix of the given order, optionally closed.
 
     Closure rows are only defined for the second-order operator; asking for
@@ -108,23 +93,18 @@ def diff_matrix(basis: str, order: int, n: int, with_boundary_rows: bool = False
         m = n // 2
         freq = (np.arange(N) - m) * np.pi
         if order == 1:
-            M = sp.diags(1j * freq).tocsr()
-        else:
-            M = sp.diags((-(freq ** 2)).astype(complex)).tocsr().tolil()
-            if with_boundary_rows:
-                M[m, :] = np.ones(N)
-            M = M.tocsr()
+            return sp.diags(1j * freq).tocsr()
+        M = sp.diags((-(freq ** 2)).astype(complex)).tocsr().tolil()
+        if with_boundary_rows:
+            M[m, :] = np.ones(N)
     else:
         if order == 1:
-            M = _cheb_first(n)
-        else:
-            M = _cheb_second(n).tolil()
-            if with_boundary_rows:
-                M[n, :] = np.ones(N)
-                M[n - 1, :] = (-1.0) ** np.arange(N)
-            M = M.tocsr()
-    return DiffMatrix(basis=basis, order=order, n=int(n),
-                      with_boundary_rows=bool(with_boundary_rows), sparse=M)
+            return _cheb_first(n)
+        M = _cheb_second(n).tolil()
+        if with_boundary_rows:
+            M[n, :] = np.ones(N)
+            M[n - 1, :] = (-1.0) ** np.arange(N)
+    return M.tocsr()
 
 
 def multi_diff(pattern, basis: str, n: int, d: int) -> sp.csr_matrix:
@@ -144,9 +124,9 @@ def multi_diff(pattern, basis: str, n: int, d: int) -> sp.csr_matrix:
     if N ** d > SYSTEM_BUDGET:
         raise BudgetExceeded(f"operator of size {N ** d} exceeds budget")
     if 2 in pattern:
-        D = diff_matrix(basis, 2, n, with_boundary_rows=True).sparse
+        D = diff_matrix(basis, 2, n, with_boundary_rows=True)
     else:
-        D = diff_matrix(basis, 1, n).sparse
+        D = diff_matrix(basis, 1, n)
     return kron([D if p > 0 else None for p in pattern])
 
 

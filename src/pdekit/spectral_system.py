@@ -23,19 +23,17 @@ pinning the value at the origin node), "pin" (pin one coefficient directly).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateRhs, ParameterError
-from .spectral_ops import (BASES, DENSE_LIMIT as DENSE_SVD_LIMIT, boundary_row_indices,
-                           diff_matrix, gdd_check, multi_diff)
+from .errors import BudgetExceeded, DegenerateRhs, ParameterError
+from .spectral_ops import BASES, DENSE_LIMIT, boundary_row_indices, gdd_check, multi_diff
 
 __all__ = [
     "choose_truncation",
     "certified_truncation_order",
-    "boundary_index_set",
     "embed_boundary",
     "SpectralSystem",
     "assemble_system",
@@ -81,17 +79,11 @@ def certified_truncation_order(g: float, g_prime: float, eps: float, n_max: int 
     raise ParameterError(f"no certificate below n_max={n_max}")
 
 
-def boundary_index_set(basis: str, n: int) -> frozenset:
-    """Per-axis coefficient indices whose rows are closure rows."""
-    plus, minus = boundary_row_indices(basis, n)
-    return frozenset({plus, minus})
-
-
 def _closure_axes(basis: str, n: int, d: int) -> np.ndarray:
     """(d, (n+1)^d) mask: row r (axis 0 slowest) sits on a closure index of axis a."""
     grids = np.meshgrid(*[np.arange(n + 1)] * d, indexing="ij")
     idx = np.stack([g.reshape(-1) for g in grids])
-    return np.isin(idx, sorted(boundary_index_set(basis, n)))
+    return np.isin(idx, boundary_row_indices(basis, n))
 
 
 def embed_boundary(basis: str, n: int, d: int, axis: int, side: str, coeffs) -> np.ndarray:
@@ -99,7 +91,8 @@ def embed_boundary(basis: str, n: int, d: int, axis: int, side: str, coeffs) -> 
 
     side is "plus" or "minus" (the x = +1 / x = -1 face; identical for the
     periodic basis, whose single closure row serves both).  coeffs has length
-    (n+1)^(d-1); for d = 1 a scalar.  Returns a full-length vector.
+    (n+1)^(d-1), for d = 1 a scalar; None means zeros.  Returns a full-length
+    vector.
     """
     if side not in ("plus", "minus"):
         raise ParameterError(f"side must be 'plus' or 'minus', got {side!r}")
@@ -108,10 +101,12 @@ def embed_boundary(basis: str, n: int, d: int, axis: int, side: str, coeffs) -> 
     N = n + 1
     plus, minus = boundary_row_indices(basis, n)
     row = plus if side == "plus" else minus
+    out = np.zeros(N ** d, dtype=complex)
+    if coeffs is None:
+        return out
     coeffs = np.atleast_1d(np.asarray(coeffs))
     if coeffs.size != N ** (d - 1):
         raise ParameterError(f"expected {N ** (d - 1)} coefficients, got {coeffs.size}")
-    out = np.zeros(N ** d, dtype=complex)
     cube_shape = [N] * d
     cube = out.reshape(cube_shape)
     sel = [slice(None)] * d
@@ -133,14 +128,10 @@ class SpectralSystem:
     rhs: np.ndarray
     gdd: dict
     q: float | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
         return (self.n + 1) ** self.d
-
-    def dense(self) -> np.ndarray:
-        return self.L.toarray()
 
 
 def _require_finite(name: str, *arrays) -> None:
@@ -202,10 +193,7 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
 
     if closure in ("point", "pin"):
         _require_finite("point_value", point_value)
-        m = n // 2
-        center = 0
-        for _ in range(d):
-            center = center * N + m
+        center = np.ravel_multi_index([n // 2] * d, [N] * d)
         L = L.tolil()
         if closure == "point":
             L[center, :] = np.ones(N ** d)
@@ -220,26 +208,18 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
         # rows whose every axis is a closure index are pure constraint rows
         rhs = np.where(on_closure.all(axis=0), 0.0, fhat)
         plus_terms, minus_terms = [], []
-        zeros = np.zeros(N ** (d - 1), dtype=complex) if d > 1 else 0.0
         for j in range(d):
-            if boundary is None:
-                gp = gm = zeros
-            else:
-                gp, gm = boundary[j]
-                gp = zeros if gp is None else gp
-                if basis == "fourier":
-                    if gm is not None:
-                        raise ParameterError(
-                            "periodic closures take one data vector per axis (plus slot)")
-                    gm = zeros if d > 1 else 0.0
-                else:
-                    gm = zeros if gm is None else gm
+            gp, gm = (None, None) if boundary is None else boundary[j]
+            if basis == "fourier" and gm is not None:
+                raise ParameterError(
+                    "periodic closures take one data vector per axis (plus slot)")
             ep = embed_boundary(basis, n, d, j, "plus", gp)
             em = embed_boundary(basis, n, d, j, "minus", gm)
+            # before scaling: a complex inf times A_jj computes inf * 0 and warns
             _require_finite(f"boundary data of axis {j}", ep, em)
             plus_terms.append(A[j, j] * ep)
             minus_terms.append(A[j, j] * em)
-            rhs = rhs + A[j, j] * ep + (A[j, j] * em if basis == "chebyshev" else 0.0)
+            rhs = rhs + plus_terms[-1] + minus_terms[-1]
         q = state_prep_q(fhat, plus_terms, minus_terms)[0] if boundary is not None else 1.0
 
     if basis == "chebyshev":
@@ -285,45 +265,21 @@ def state_prep_q(fhat, weighted_plus, weighted_minus=None):
     return q, 1.0 / (q * q)
 
 
-def condition_report(system, power_iters: int = 200, seed: int = 0) -> dict:
-    """Extreme singular values of L and the bounds they are measured against.
+def condition_report(system) -> dict:
+    """Extreme singular values of L, by dense SVD, and the bounds they are measured against.
 
-    Dense SVD when the system fits the budget, otherwise a power iteration
-    on L*L (and on the inverse through a sparse factorization), flagged
-    approximate.  bound_poisson is (2n)^4; bound_general scales it by
-    norm_sigma / (C * norm_star) when the operator is GDD-accepted.
+    Systems above DENSE_LIMIT rows raise BudgetExceeded.  bound_poisson is
+    (2n)^4; bound_general scales it by norm_sigma / (C * norm_star) when the
+    operator is GDD-accepted.
     """
-    L = system.L
-    n = system.n
-    size = L.shape[0]
-    approximate = size > DENSE_SVD_LIMIT
-    if not approximate:
-        sv = np.linalg.svd(L.toarray(), compute_uv=False)
-        smax, smin = float(sv[0]), float(sv[-1])
-    else:
-        rng = np.random.default_rng(seed)
-
-        def draw():
-            v = rng.normal(size=size)
-            if np.iscomplexobj(L.data):
-                v = v + 1j * rng.normal(size=size)
-            return v / np.linalg.norm(v)
-
-        v = draw()
-        for _ in range(power_iters):
-            w = L.conj().T @ (L @ v)
-            nw = np.linalg.norm(w)
-            v = w / nw
-        smax = math.sqrt(nw)
-        lu = sp.linalg.splu(L.tocsc())
-        v = draw()
-        for _ in range(power_iters):
-            w = lu.solve(lu.solve(v), trans="H")
-            nw = np.linalg.norm(w)
-            v = w / nw
-        smin = 1.0 / math.sqrt(nw)
+    size = system.L.shape[0]
+    if size > DENSE_LIMIT:
+        raise BudgetExceeded(
+            f"dense condition report of {size} rows exceeds DENSE_LIMIT={DENSE_LIMIT}")
+    sv = np.linalg.svd(system.L.toarray(), compute_uv=False)
+    smax, smin = float(sv[0]), float(sv[-1])
     kappa = smax / smin if smin > 0 else math.inf
-    bound_poisson = float((2 * n) ** 4)
+    bound_poisson = float((2 * system.n) ** 4)
     gdd = system.gdd
     bound_general = (
         gdd["norm_sigma"] / (gdd["C"] * gdd["norm_star"]) * bound_poisson
@@ -336,5 +292,4 @@ def condition_report(system, power_iters: int = 200, seed: int = 0) -> dict:
         "bound_general": bound_general,
         "within_poisson": kappa <= bound_poisson,
         "within_general": kappa <= bound_general,
-        "approximate": approximate,
     }

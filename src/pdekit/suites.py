@@ -85,7 +85,7 @@ def fdm_kappa(seed):
 def _svd_envelope(basis):
     rows = []
     for n in range(4, 65):
-        M = diff_matrix(basis, 2, n, with_boundary_rows=True).dense()
+        M = diff_matrix(basis, 2, n, with_boundary_rows=True).toarray()
         sv = np.linalg.svd(M, compute_uv=False)
         if basis == "fourier":
             hi, lo = (2.0 * n) ** 2.5, 1.0 / math.sqrt(2.0)

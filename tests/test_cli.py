@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+import pdekit.spectral_system as spectral_system
 from pdekit.cli import EXAMPLES, SUITES, main
 from pdekit.golden import GOLDEN_NAMES, generate_golden
 from pdekit.matrixio import read_coordinate
@@ -163,6 +164,15 @@ class TestSolveSpectral:
         assert main(["solve", "--spec", str(path), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
 
+    def test_no_kappa_above_dense_limit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spectral_system, "DENSE_LIMIT", 16)
+        assert main(["solve", "--example", "poisson-2d-cheb",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert "kappa" not in meta
+        assert meta["residual"] < 1e-10
+
     def test_singular_system_is_runtime_failure(self, tmp_path, capsys):
         spec = {"method": "spectral", "basis": "chebyshev", "d": 3,
                 "n": 2, "solution": "exp-sin"}
@@ -198,6 +208,12 @@ class TestSolveSpectral:
         {"method": "fdm", "d": 1, "n": [], "k": 1, "solution": "sin"},
         {"method": "spectral", "basis": "fourier", "d": 1, "n": 8, "f": "sin-pi",
          "closure": "point", "gamma": "x"},
+        {"method": "spectral", "basis": "fourier", "d": 1, "n": 8,
+         "solution": "sin-pi", "closure": "pin"},
+        {"method": "spectral", "basis": "chebyshev", "d": 2, "n": 8,
+         "solution": "exp-sin", "closure": "bogus"},
+        {"method": "spectral", "basis": "chebyshev", "d": 1, "n": 8, "f": "one",
+         "gamma": 0.25, "closure": "point"},
     ])
     def test_malformed_fields_are_spec_errors(self, spec, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -246,6 +262,9 @@ class TestSolveFdm:
         {"method": "fdm", "d": 1, "n": 16, "k": 1, "solution": "sin",
          "bc": "dirichlet"},
         {"method": "fdm", "d": 0, "n": 16, "k": 1, "solution": "sin"},
+        {"method": "fdm", "d": 1, "n": 1, "k": 1, "solution": "sin"},
+        {"method": "fdm", "d": 1, "n": 16, "k": 0, "solution": "sin"},
+        {"method": "fdm", "d": 2, "n": [8, 1], "k": 1, "solution": "sin"},
     ])
     def test_fdm_spec_validation(self, spec, tmp_path, capsys):
         path = tmp_path / "spec.json"

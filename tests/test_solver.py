@@ -198,6 +198,11 @@ def test_point_closure_solves():
         manufactured_problem("exp-sin-pi", np.eye(1), "fourier", 16, closure="pin")
 
 
+def test_unknown_closure_rejected():
+    with pytest.raises(ParameterError, match="closure"):
+        manufactured_problem("exp-sin", np.eye(2), "chebyshev", 6, closure="bogus")
+
+
 def test_convergence_study_rows():
     rows = convergence_study("exp-sin", np.eye(1), "chebyshev", [8, 12, 16],
                              with_kappa=True)

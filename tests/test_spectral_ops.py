@@ -11,7 +11,7 @@ from pdekit.spectral_ops import boundary_row_indices, diff_matrix, gdd_check, mu
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
 def test_fourier_first_derivative_diagonal(n):
-    D = diff_matrix("fourier", 1, n).dense()
+    D = diff_matrix("fourier", 1, n).toarray()
     m = n // 2
     want = np.diag(1j * np.pi * (np.arange(n + 1) - m))
     assert np.array_equal(D, want)
@@ -19,8 +19,8 @@ def test_fourier_first_derivative_diagonal(n):
 
 @pytest.mark.parametrize("n", [2, 5, 8, 13])
 def test_fourier_second_is_square_of_first(n):
-    D1 = diff_matrix("fourier", 1, n).dense()
-    D2 = diff_matrix("fourier", 2, n).dense()
+    D1 = diff_matrix("fourier", 1, n).toarray()
+    D2 = diff_matrix("fourier", 2, n).toarray()
     assert np.allclose(D2, D1 @ D1, atol=1e-12)
     m = n // 2
     assert D2[m, m] == 0.0
@@ -28,18 +28,18 @@ def test_fourier_second_is_square_of_first(n):
 
 def test_fourier_closure_row():
     n = 4
-    Dc = diff_matrix("fourier", 2, n, with_boundary_rows=True).dense()
+    Dc = diff_matrix("fourier", 2, n, with_boundary_rows=True).toarray()
     m = n // 2
     assert np.array_equal(Dc[m].real, np.ones(n + 1))
-    D2 = diff_matrix("fourier", 2, n).dense()
+    D2 = diff_matrix("fourier", 2, n).toarray()
     keep = [r for r in range(n + 1) if r != m]
     assert np.array_equal(Dc[keep], D2[keep])
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 11])
 def test_chebyshev_derivatives_against_polynomial_module(rng, n):
-    D1 = diff_matrix("chebyshev", 1, n).dense()
-    D2 = diff_matrix("chebyshev", 2, n).dense()
+    D1 = diff_matrix("chebyshev", 1, n).toarray()
+    D2 = diff_matrix("chebyshev", 2, n).toarray()
     for _ in range(5):
         c = rng.normal(size=n + 1)
         want1 = np.zeros(n + 1)
@@ -51,7 +51,7 @@ def test_chebyshev_derivatives_against_polynomial_module(rng, n):
 
 
 def test_chebyshev_triangle_structure():
-    D1 = diff_matrix("chebyshev", 1, 6).dense()
+    D1 = diff_matrix("chebyshev", 1, 6).toarray()
     assert np.allclose(np.tril(D1), 0.0)
     # parity: entries only where k + r is odd
     for k in range(7):
@@ -74,16 +74,16 @@ def test_chebyshev_entries_match_formula_loops(n):
                 want1[k, r] = 2.0 * r / sigma
             else:
                 want2[k, r] = r * (r * r - k * k) / sigma
-    assert np.array_equal(diff_matrix("chebyshev", 1, n).dense(), want1)
-    assert np.array_equal(diff_matrix("chebyshev", 2, n).dense(), want2)
+    assert np.array_equal(diff_matrix("chebyshev", 1, n).toarray(), want1)
+    assert np.array_equal(diff_matrix("chebyshev", 2, n).toarray(), want2)
 
 
 def test_chebyshev_closure_rows():
     n = 5
-    Dc = diff_matrix("chebyshev", 2, n, with_boundary_rows=True).dense()
+    Dc = diff_matrix("chebyshev", 2, n, with_boundary_rows=True).toarray()
     assert np.array_equal(Dc[n], np.ones(n + 1))
     assert np.array_equal(Dc[n - 1], (-1.0) ** np.arange(n + 1))
-    open_rows = diff_matrix("chebyshev", 2, n).dense()
+    open_rows = diff_matrix("chebyshev", 2, n).toarray()
     assert np.array_equal(Dc[: n - 1], open_rows[: n - 1])
     # the two replaced rows were identically zero before closure
     assert np.array_equal(open_rows[n - 1 :], np.zeros((2, n + 1)))
@@ -110,7 +110,7 @@ def test_diff_matrix_guards():
 @pytest.mark.parametrize("basis", ["fourier", "chebyshev"])
 def test_multi_diff_pure_term_is_kron_with_closures(basis):
     n, d = 3, 2
-    Dc = diff_matrix(basis, 2, n, with_boundary_rows=True).dense()
+    Dc = diff_matrix(basis, 2, n, with_boundary_rows=True).toarray()
     I = np.eye(n + 1)
     assert np.allclose(multi_diff((2, 0), basis, n, d).toarray(), np.kron(Dc, I), atol=0)
     assert np.allclose(multi_diff((0, 2), basis, n, d).toarray(), np.kron(I, Dc), atol=0)
@@ -119,14 +119,14 @@ def test_multi_diff_pure_term_is_kron_with_closures(basis):
 @pytest.mark.parametrize("basis", ["fourier", "chebyshev"])
 def test_multi_diff_mixed_term_has_no_closures(basis):
     n = 3
-    D1 = diff_matrix(basis, 1, n).dense()
+    D1 = diff_matrix(basis, 1, n).toarray()
     got = multi_diff((1, 1), basis, n, 2).toarray()
     assert np.allclose(got, np.kron(D1, D1), atol=0)
 
 
 def test_multi_diff_third_axis_identity():
     n = 2
-    D1 = diff_matrix("fourier", 1, n).dense()
+    D1 = diff_matrix("fourier", 1, n).toarray()
     I = np.eye(n + 1)
     got = multi_diff((1, 0, 1), "fourier", n, 3).toarray()
     assert np.allclose(got, np.kron(D1, np.kron(I, D1)), atol=0)

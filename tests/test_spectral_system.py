@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from pdekit.errors import DegenerateRhs, ParameterError
+import pdekit.spectral_system as spectral_system
+from pdekit.errors import BudgetExceeded, DegenerateRhs, ParameterError
 from pdekit.solver import solve_system
-from pdekit.spectral_ops import diff_matrix
+from pdekit.spectral_ops import boundary_row_indices, diff_matrix
 from pdekit.spectral_system import (
     assemble_system,
-    boundary_index_set,
     certified_truncation_order,
     choose_truncation,
     condition_report,
@@ -65,11 +65,6 @@ def test_certified_order_budget_guard():
         certified_truncation_order(1.0, 1e300, 1e-12, n_max=5)
 
 
-def test_boundary_index_set():
-    assert boundary_index_set("chebyshev", 6) == frozenset({6, 5})
-    assert boundary_index_set("fourier", 6) == frozenset({3})
-
-
 def test_embed_boundary_placement():
     n, d = 2, 2
     vals = np.array([1.0, 2.0, 3.0])
@@ -92,6 +87,7 @@ def test_embed_boundary_placement():
 def test_embed_boundary_scalar_and_guards():
     out = embed_boundary("chebyshev", 3, 1, 0, "plus", 7.0)
     assert out[3] == 7.0 and np.count_nonzero(out) == 1
+    assert np.array_equal(embed_boundary("chebyshev", 3, 2, 1, "minus", None), np.zeros(16))
     with pytest.raises(ParameterError):
         embed_boundary("chebyshev", 3, 1, 0, "up", 7.0)
     with pytest.raises(ParameterError):
@@ -101,7 +97,7 @@ def test_embed_boundary_scalar_and_guards():
 
 
 def closure_mask(basis, n, d):
-    bset = sorted(boundary_index_set(basis, n))
+    bset = list(boundary_row_indices(basis, n))
     N = n + 1
     grids = np.meshgrid(*[np.arange(N)] * d, indexing="ij")
     mask = np.zeros(N ** d, dtype=bool)
@@ -117,13 +113,13 @@ def test_assembled_operator_matches_dense_formula(basis):
     N = n + 1
     fhat = np.zeros(N * N)
     system = assemble_system(A, basis, n, fhat)
-    Dc = diff_matrix(basis, 2, n, with_boundary_rows=True).dense()
-    D1 = diff_matrix(basis, 1, n).dense()
+    Dc = diff_matrix(basis, 2, n, with_boundary_rows=True).toarray()
+    D1 = diff_matrix(basis, 1, n).toarray()
     I = np.eye(N)
     expected = A[0, 0] * np.kron(Dc, I) + A[1, 1] * np.kron(I, Dc)
     keep = np.diag((~closure_mask(basis, n, 2)).astype(float))
     expected = expected + keep @ ((A[0, 1] + A[1, 0]) * np.kron(D1, D1))
-    assert np.allclose(system.dense(), expected, atol=1e-13)
+    assert np.allclose(system.L.toarray(), expected, atol=1e-13)
     assert system.size == N * N
     assert system.gdd["accepted"] is True
 
@@ -194,11 +190,11 @@ def test_point_and_pin_closures():
     m = n // 2
     fhat = np.arange(1.0, N + 1.0)
     sys_point = poisson_system("fourier", n, 1, fhat, closure="point", point_value=3.0)
-    row = sys_point.dense()[m]
+    row = sys_point.L.toarray()[m]
     assert np.allclose(row.real, np.ones(N)) and np.allclose(row.imag, 0.0)
     assert sys_point.rhs[m] == 3.0
     sys_pin = poisson_system("fourier", n, 1, fhat, closure="pin", point_value=2.0)
-    row = sys_pin.dense()[m]
+    row = sys_pin.L.toarray()[m]
     want = np.zeros(N)
     want[m] = 1.0
     assert np.allclose(row, want)
@@ -293,28 +289,21 @@ def test_system_q_matches_oracle(rng):
 def test_condition_report_against_dense_svd():
     system = poisson_system("fourier", 4, 2, np.zeros(25))
     rep = condition_report(system)
-    sv = np.linalg.svd(system.dense(), compute_uv=False)
+    sv = np.linalg.svd(system.L.toarray(), compute_uv=False)
     assert rep["sigma_max"] == pytest.approx(sv[0], rel=1e-12)
     assert rep["sigma_min"] == pytest.approx(sv[-1], rel=1e-12)
     assert rep["kappa"] == pytest.approx(sv[0] / sv[-1], rel=1e-12)
     assert rep["bound_poisson"] == (2 * 4) ** 4
     assert rep["within_poisson"] is True
-    assert rep["approximate"] is False
 
 
-def test_condition_report_power_iteration_path(monkeypatch):
-    # force the iterative path on a system small enough for a dense oracle
-    import pdekit.spectral_system as mod
-
-    monkeypatch.setattr(mod, "DENSE_SVD_LIMIT", 5)
+def test_condition_report_refuses_above_dense_limit(monkeypatch):
     system = poisson_system("fourier", 6, 1, np.zeros(7))
-    rep = condition_report(system, power_iters=300)
-    assert rep["approximate"] is True
-    # the two leading singular values are nearly degenerate (paired signed
-    # frequencies), so the iteration settles between them; 1e-3 is honest
-    sv = np.linalg.svd(system.dense(), compute_uv=False)
-    assert rep["sigma_max"] == pytest.approx(sv[0], rel=1e-3)
-    assert rep["sigma_min"] == pytest.approx(sv[-1], rel=1e-3)
+    monkeypatch.setattr(spectral_system, "DENSE_LIMIT", 7)
+    assert condition_report(system)["kappa"] > 1.0
+    monkeypatch.setattr(spectral_system, "DENSE_LIMIT", 6)
+    with pytest.raises(BudgetExceeded, match="7 rows"):
+        condition_report(system)
 
 
 def test_chebyshev_triple_product_singularity():

@@ -160,9 +160,9 @@ def test_multi_diff_matches_numpy_kron(basis, d, n, data):
     pattern[j1] += 1
     pattern[j2] += 1
     if 2 in pattern:
-        D = diff_matrix(basis, 2, n, with_boundary_rows=True).dense()
+        D = diff_matrix(basis, 2, n, with_boundary_rows=True).toarray()
     else:
-        D = diff_matrix(basis, 1, n).dense()
+        D = diff_matrix(basis, 1, n).toarray()
     want = np_kron([D if p else np.eye(n + 1) for p in pattern])
     assert np.array_equal(multi_diff(pattern, basis, n, d).toarray(), want)
 
