@@ -29,8 +29,7 @@ from .solver import (SolveResult, analyze_values, convergence_study, error_metri
                      solve_system, synthesize_nodes)
 from .spectral_ops import boundary_row_indices, diff_matrix, gdd_check, multi_diff
 from .spectral_system import (SpectralSystem, assemble_system, certified_truncation_order,
-                              choose_truncation, condition_report, poisson_system,
-                              state_prep_q)
+                              choose_truncation, condition_report, state_prep_q)
 from .stencil import (Stencil, apply_stencil, make_stencil, second_moment,
                       truncation_error_bound, verify_second_moment)
 from .transforms import qct_apply, qct_matrix, qsft_apply, qsft_matrix

@@ -120,6 +120,14 @@ def _parse(kind, value, name):
         raise SpecError(f"invalid {name} {value!r}: {exc}") from exc
 
 
+def _integer(value, name) -> int:
+    """An integer spec field: a JSON integer or an integral float, never a bool or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise SpecError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _coeff_matrix(spec, d):
     A = spec.get("A", "identity")
     if isinstance(A, str):
@@ -146,7 +154,7 @@ def _solve_spectral(spec, outdir, fmt) -> int:
     basis = spec.get("basis")
     if basis not in ("fourier", "chebyshev"):
         raise SpecError(f"basis must be fourier or chebyshev, got {basis!r}")
-    d = _parse(int, spec.get("d", 0), "d")
+    d = _integer(spec.get("d", 0), "d")
     if d < 1:
         raise SpecError("d must be a positive integer")
     A = _coeff_matrix(spec, d)
@@ -162,7 +170,7 @@ def _solve_spectral(spec, outdir, fmt) -> int:
         # at the certified order and record both
         n = certified_truncation_order(g, gprime, eps)
         meta["auto"] = dict(auto, n_certified=n, n_formula=choose_truncation(g, gprime, eps))
-    n = _parse(int, n, "n")
+    n = _integer(n, "n")
     if n < 2:
         raise SpecError("n must be an integer >= 2 or 'auto'")
     meta["n"] = n
@@ -192,6 +200,9 @@ def _solve_spectral(spec, outdir, fmt) -> int:
             if gamma.shape != (d, 2):
                 raise SpecError(f"gamma must be a number or {d} pairs [g+, g-], "
                                 f"got shape {gamma.shape}")
+            if basis == "fourier" and np.any(gamma[:, 0] != gamma[:, 1]):
+                raise SpecError("periodic faces share one closure row: each gamma "
+                                "pair [g+, g-] needs g+ == g-")
             boundary = []
             for j in range(d):
                 gp, gm = gamma[j]
@@ -241,7 +252,7 @@ def _laplacian_sampler(expr):
 
 
 def _solve_fdm(spec, outdir, fmt) -> int:
-    d = _parse(int, spec.get("d", 0), "d")
+    d = _integer(spec.get("d", 0), "d")
     if d < 1:
         raise SpecError("d must be a positive integer")
     bc = spec.get("bc", "periodic")
@@ -255,17 +266,17 @@ def _solve_fdm(spec, outdir, fmt) -> int:
     expr = builtin_expression(name, d)
     sample_f = _laplacian_sampler(expr)
     sample_u = _value_sampler(expr)
-    k = _parse(int, spec.get("k", 1), "k")
+    k = _integer(spec.get("k", 1), "k")
     n = spec.get("n")
     if n == []:
         raise SpecError("n must be an integer or a nonempty list of integers")
     if isinstance(n, list):
-        rows = fdm_mod.convergence_rows(d, k, [_parse(int, v, "n") for v in n],
+        rows = fdm_mod.convergence_rows(d, k, [_integer(v, "n") for v in n],
                                         sample_f, sample_u)
         _print_table(rows, list(rows[0].keys()))
         _emit_rows(rows, Path(outdir) if outdir else Path("."), "fdm_sweep", fmt)
         return 0
-    n = _parse(int, n, "n")
+    n = _integer(n, "n")
 
     p = fdm_mod.FdmProblem(d=d, n=n, k=k, rhs_sampler=sample_f,
                            exact_solution=sample_u, bc=bc)

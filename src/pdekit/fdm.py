@@ -181,7 +181,7 @@ def assemble(p: FdmProblem) -> FdmSystem:
         if mean > MEAN_RTOL * _norm(cube):
             raise CompatibilityError(
                 f"neumann rhs has kernel component {mean:.3e} > {MEAN_RTOL:.0e} * ||f||")
-    total = kron_sum(sp.csr_matrix(restricted), p.d)
+    total = kron_sum([sp.csr_matrix(restricted)] * p.d)
     sector = lam[1:p.n + 1] if p.bc == "dirichlet" else lam[:p.n]
     return FdmSystem(problem=p, rhs=cube.reshape(-1), eig_axis=sector,
                      matrix=(total / p.h ** 2).tocsr())

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .spectral_ops import diff_matrix
-from .spectral_system import poisson_system
+from .spectral_system import assemble_system
 from .tensor import kron_sum
 
 __all__ = ["GOLDEN_NAMES", "generate_golden", "reference_golden", "compare_goldens"]
@@ -37,7 +37,7 @@ GOLDEN_NAMES = (
 
 
 def _fourier_kron_open() -> np.ndarray:
-    return kron_sum(diff_matrix("fourier", 2, 2), 2).toarray()
+    return kron_sum([diff_matrix("fourier", 2, 2)] * 2).toarray()
 
 
 def generate_golden(name: str) -> np.ndarray:
@@ -63,7 +63,7 @@ def generate_golden(name: str) -> np.ndarray:
         L[4, 4] = 1.0
         return L
     if name == "chebyshev_poisson_16":
-        system = poisson_system("chebyshev", 3, 2, np.zeros(16))
+        system = assemble_system(np.eye(2), "chebyshev", 3, np.zeros(16))
         return system.L.toarray()
     raise ParameterError(f"unknown golden {name!r}; available: {GOLDEN_NAMES}")
 

@@ -108,26 +108,22 @@ def diff_matrix(basis: str, order: int, n: int, with_boundary_rows: bool = False
 
 
 def multi_diff(pattern, basis: str, n: int, d: int) -> sp.csr_matrix:
-    """Tensor operator for one term of a pure second-order PDE.
+    """Tensor operator for one mixed term d^2/dx_j1 dx_j2 of a second-order PDE.
 
-    pattern is a length-d multi-index summing to 2: a single 2 selects the
-    closed second-derivative operator on that axis (identity elsewhere); a
-    pair of 1s selects the plain first-derivative matrix on both axes with
-    no closure rows anywhere.
+    pattern is a length-d 0/1 multi-index with exactly two 1s: it places the
+    plain first-derivative matrix on both axes, with no closure rows
+    anywhere, and the identity elsewhere.
     """
     pattern = tuple(int(p) for p in pattern)
     if len(pattern) != d:
         raise ParameterError(f"pattern length {len(pattern)} != d={d}")
-    if any(p < 0 for p in pattern) or sum(pattern) != 2:
-        raise ParameterError(f"pattern must be nonnegative and sum to 2, got {pattern}")
+    if any(p not in (0, 1) for p in pattern) or sum(pattern) != 2:
+        raise ParameterError(f"pattern must hold exactly two 1s and zeros, got {pattern}")
     N = n + 1
     if N ** d > SYSTEM_BUDGET:
         raise BudgetExceeded(f"operator of size {N ** d} exceeds budget")
-    if 2 in pattern:
-        D = diff_matrix(basis, 2, n, with_boundary_rows=True)
-    else:
-        D = diff_matrix(basis, 1, n)
-    return kron([D if p > 0 else None for p in pattern])
+    D = diff_matrix(basis, 1, n)
+    return kron([D if p else None for p in pattern])
 
 
 def gdd_check(A) -> dict:

@@ -2,13 +2,17 @@
 
 The operator sum_{j1,j2} A_{j1,j2} d^2/dx_j1 dx_j2 on [-1,1]^d becomes, in a
 collocation basis, L = sum_j A_jj Dbar^(j) + sum_{j1 != j2} A_{j1,j2} D^(j1,j2)
-where Dbar^(j) places the closed second-derivative matrix on axis j and the
-mixed terms place two first-derivative matrices.  Boundary data rides the
-closure rows: for Chebyshev, rows with k_j = n carry the +1 face of axis j
-and rows with k_j = n-1 the -1 face; for Fourier (periodic) the single center
-row per axis carries the axis-mean data.  The source coefficients f-hat fill
-every row that retains at least one interior axis and are dropped from rows
-whose axes are all closure indices (those rows are pure constraint rows).
+where Dbar^(j) places the closed second-derivative block B on axis j and the
+mixed terms place two first-derivative matrices.  The pure part is the
+Kronecker sum of the weighted blocks A_jj B.  B is diff_matrix(basis, 2, n,
+with_boundary_rows=True); basis and n determine it, so no system stores it.
+
+Boundary data rides the closure rows: for Chebyshev, rows with k_j = n carry
+the +1 face of axis j and rows with k_j = n-1 the -1 face; for Fourier
+(periodic) the single center row per axis carries the axis-mean data.  The
+source coefficients f-hat fill every row that retains at least one interior
+axis and are dropped from rows whose axes are all closure indices (those
+rows are pure constraint rows).
 
 Mixed-derivative contributions are masked to zero on closure rows so the
 constraint equations stay exact.  For Fourier the mask is a no-op (the
@@ -29,7 +33,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BudgetExceeded, DegenerateRhs, ParameterError
-from .spectral_ops import BASES, DENSE_LIMIT, boundary_row_indices, gdd_check, multi_diff
+from .spectral_ops import (BASES, DENSE_LIMIT, SYSTEM_BUDGET, boundary_row_indices, diff_matrix,
+                           gdd_check, multi_diff)
+from .tensor import axis_sum, kron_sum
 
 __all__ = [
     "choose_truncation",
@@ -37,7 +43,6 @@ __all__ = [
     "embed_boundary",
     "SpectralSystem",
     "assemble_system",
-    "poisson_system",
     "state_prep_q",
     "condition_report",
 ]
@@ -77,13 +82,6 @@ def certified_truncation_order(g: float, g_prime: float, eps: float, n_max: int 
         if n * (1.0 - math.log(2.0 * n)) <= target:
             return n
     raise ParameterError(f"no certificate below n_max={n_max}")
-
-
-def _closure_axes(basis: str, n: int, d: int) -> np.ndarray:
-    """(d, (n+1)^d) mask: row r (axis 0 slowest) sits on a closure index of axis a."""
-    grids = np.meshgrid(*[np.arange(n + 1)] * d, indexing="ij")
-    idx = np.stack([g.reshape(-1) for g in grids])
-    return np.isin(idx, boundary_row_indices(basis, n))
 
 
 def embed_boundary(basis: str, n: int, d: int, axis: int, side: str, coeffs) -> np.ndarray:
@@ -151,7 +149,8 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
     axis (the coefficients of the solution's x_j = 0 slice), passed in the
     plus slot with minus None; the alternative closures "point"/"pin" take
     the scalar point_value instead.  Non-finite A, fhat or boundary data are
-    rejected.
+    rejected, and so is a system above SYSTEM_BUDGET rows (BudgetExceeded),
+    before anything is built.
     """
     A = np.asarray(A)
     _require_finite("A", A)
@@ -169,13 +168,13 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
     if closure not in ("axes", "point", "pin"):
         raise ParameterError(f"closure must be axes, point or pin, got {closure!r}")
 
-    on_closure = _closure_axes(basis, n, d)
-    dtype = complex if basis == "fourier" else float
-    L = sp.csr_matrix((N ** d, N ** d), dtype=dtype)
-    for j in range(d):
-        pat = [0] * d
-        pat[j] = 2
-        L = L + A[j, j] * multi_diff(pat, basis, n, d)
+    if N ** d > SYSTEM_BUDGET:
+        raise BudgetExceeded(f"operator of size {N ** d} exceeds budget")
+
+    # the number of closure axes of each row (axis 0 slowest)
+    closed = axis_sum(np.isin(np.arange(N), boundary_row_indices(basis, n)), d).reshape(-1)
+    B = diff_matrix(basis, 2, n, with_boundary_rows=True)
+    L = kron_sum([A[j, j] * B for j in range(d)])
     mixed = None
     for j1 in range(d):
         for j2 in range(j1 + 1, d):
@@ -187,9 +186,7 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
                 mixed = term if mixed is None else mixed + term
     if mixed is not None:
         # constraint rows must stay exact; zero the mixed action there
-        keep = ~on_closure.any(axis=0)
-        mask = sp.diags(keep.astype(float))
-        L = L + mask @ mixed
+        L = L + sp.diags((closed == 0).astype(float)) @ mixed
 
     if closure in ("point", "pin"):
         _require_finite("point_value", point_value)
@@ -206,7 +203,7 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
         q = None
     else:
         # rows whose every axis is a closure index are pure constraint rows
-        rhs = np.where(on_closure.all(axis=0), 0.0, fhat)
+        rhs = np.where(closed == d, 0.0, fhat)
         plus_terms, minus_terms = [], []
         for j in range(d):
             gp, gm = (None, None) if boundary is None else boundary[j]
@@ -228,13 +225,6 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
         rhs_out = rhs
     return SpectralSystem(basis=basis, n=int(n), d=int(d), A=A, closure=closure,
                           L=L.tocsr(), rhs=rhs_out, gdd=gdd, q=q)
-
-
-def poisson_system(basis: str, n: int, d: int, fhat, boundary=None,
-                   closure: str = "axes", point_value: complex = 0.0) -> SpectralSystem:
-    """assemble_system with the identity coefficient matrix."""
-    return assemble_system(np.eye(d), basis, n, fhat, boundary=boundary,
-                           closure=closure, point_value=point_value)
 
 
 def state_prep_q(fhat, weighted_plus, weighted_minus=None):

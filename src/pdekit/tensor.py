@@ -30,9 +30,10 @@ def kron(factors) -> sp.csr_matrix:
                   [eye if f is None else f for f in factors], sp.identity(1, format="csr"))
 
 
-def kron_sum(block, d: int) -> sp.csr_matrix:
-    """sum_j I x .. x block x .. x I with the block on axis j, over d axes."""
-    terms = [kron([block if a == j else None for a in range(d)]) for j in range(d)]
+def kron_sum(blocks) -> sp.csr_matrix:
+    """sum_j I x .. x blocks[j] x .. x I: one square block per axis, all of one size."""
+    d = len(blocks)
+    terms = [kron([b if a == j else None for a in range(d)]) for j, b in enumerate(blocks)]
     return sum(terms[1:], terms[0])
 
 

@@ -214,6 +214,12 @@ class TestSolveSpectral:
          "solution": "exp-sin", "closure": "bogus"},
         {"method": "spectral", "basis": "chebyshev", "d": 1, "n": 8, "f": "one",
          "gamma": 0.25, "closure": "point"},
+        {"method": "spectral", "basis": "chebyshev", "d": 2, "n": 16.9, "solution": "exp-sin"},
+        {"method": "spectral", "basis": "chebyshev", "d": 2, "n": "8", "solution": "exp-sin"},
+        {"method": "spectral", "basis": "chebyshev", "d": True, "n": 8, "solution": "exp-sin"},
+        {"method": "spectral", "basis": "chebyshev", "d": 1.7, "n": 8, "solution": "exp-sin"},
+        {"method": "spectral", "basis": "fourier", "d": 1, "n": 8, "f": "sin-pi",
+         "gamma": [[1.0, 5.0]]},
     ])
     def test_malformed_fields_are_spec_errors(self, spec, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -236,12 +242,15 @@ class TestSolveSpectral:
 
 class TestSolveFdm:
     def test_single_run(self, tmp_path, capsys):
-        spec = {"method": "fdm", "d": 1, "n": 16, "k": 2, "solution": "sin"}
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
-        assert main(["solve", "--spec", str(path), "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        meta = json.loads((tmp_path / "metadata.json").read_text())
+        # an integral float is an integer field
+        for d, n, k in [(1.0, 16.0, 2.0), (1, 16, 2)]:
+            spec = {"method": "fdm", "d": d, "n": n, "k": k, "solution": "sin"}
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            assert main(["solve", "--spec", str(path), "--out", str(tmp_path)]) == 0
+            capsys.readouterr()
+            meta = json.loads((tmp_path / "metadata.json").read_text())
+            assert (meta["d"], meta["n"], meta["k"]) == (1, 16, 2)
         assert meta["method"] == "fdm" and meta["solver"] == "eigen"
         assert meta["errors"]["l2_rel"] == pytest.approx(1.646e-5, rel=0.05)
         assert meta["kappa"] > 1.0
@@ -265,9 +274,14 @@ class TestSolveFdm:
         {"method": "fdm", "d": 1, "n": 1, "k": 1, "solution": "sin"},
         {"method": "fdm", "d": 1, "n": 16, "k": 0, "solution": "sin"},
         {"method": "fdm", "d": 2, "n": [8, 1], "k": 1, "solution": "sin"},
+        {"method": "fdm", "d": 1, "n": 16, "k": 2.5, "solution": "sin"},
+        {"method": "fdm", "d": 1, "n": 16.9, "k": 1, "solution": "sin"},
+        {"method": "fdm", "d": True, "n": 16, "k": 1, "solution": "sin"},
+        {"method": "fdm", "d": 1, "n": [8, 16.5], "k": 1, "solution": "sin"},
+        {"method": "fdm", "d": 1, "n": 16, "k": "2", "solution": "sin"},
     ])
     def test_fdm_spec_validation(self, spec, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         assert main(["solve", "--spec", str(path), "--out", str(tmp_path)]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("spec error:")

@@ -134,7 +134,7 @@ class TestGridAndAssembly:
         n, k = 4, 1
         p = FdmProblem(d=2, n=n, k=k, rhs_sampler=f_sin2)
         system = assemble(p)
-        dense = kron_sum(circulant(k, n), 2).toarray() / p.h ** 2
+        dense = kron_sum([circulant(k, n)] * 2).toarray() / p.h ** 2
         v = rng.standard_normal((2 * n) ** 2)
         assert np.allclose(system.matvec(v), dense @ v, atol=1e-10)
 

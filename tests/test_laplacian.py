@@ -51,7 +51,7 @@ def test_spectral_norm_and_condition_scaling():
 
 
 def test_condition_number_against_dense_svd():
-    dense = kron_sum(circulant(2, 4), 2).toarray()
+    dense = kron_sum([circulant(2, 4)] * 2).toarray()
     sv = np.linalg.svd(dense, compute_uv=False)
     nonzero = sv[sv > 1e-10 * sv.max()]
     kappa = condition_number(eigenvalues_1d(make_stencil(2), 4), 2)

@@ -1,21 +1,24 @@
 """System assembly: truncation rules, boundary embedding, rhs layout, q."""
 
 import math
+from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdekit.spectral_system as spectral_system
 from pdekit.errors import BudgetExceeded, DegenerateRhs, ParameterError
 from pdekit.solver import solve_system
-from pdekit.spectral_ops import boundary_row_indices, diff_matrix
+from pdekit.spectral_ops import boundary_row_indices, diff_matrix, random_gdd
 from pdekit.spectral_system import (
     assemble_system,
     certified_truncation_order,
     choose_truncation,
     condition_report,
     embed_boundary,
-    poisson_system,
     state_prep_q,
 )
 
@@ -107,20 +110,28 @@ def closure_mask(basis, n, d):
 
 
 @pytest.mark.parametrize("basis", ["fourier", "chebyshev"])
-def test_assembled_operator_matches_dense_formula(basis):
-    n = 3
-    A = np.array([[2.0, 0.3], [0.1, 1.5]])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 6), st.integers(0, 2 ** 32 - 1), st.data())
+def test_assembled_operator_matches_dense_formula(basis, d, n, seed, data):
+    # some off-diagonal pairs are zeroed, so their mixed term is skipped
+    A = random_gdd(np.random.default_rng(seed), d)
+    for j1, j2 in combinations(range(d), 2):
+        if data.draw(st.booleans()):
+            A[j1, j2] = A[j2, j1] = 0.0
     N = n + 1
-    fhat = np.zeros(N * N)
-    system = assemble_system(A, basis, n, fhat)
+    system = assemble_system(A, basis, n, np.zeros(N ** d))
     Dc = diff_matrix(basis, 2, n, with_boundary_rows=True).toarray()
     D1 = diff_matrix(basis, 1, n).toarray()
-    I = np.eye(N)
-    expected = A[0, 0] * np.kron(Dc, I) + A[1, 1] * np.kron(I, Dc)
-    keep = np.diag((~closure_mask(basis, n, 2)).astype(float))
-    expected = expected + keep @ ((A[0, 1] + A[1, 0]) * np.kron(D1, D1))
+
+    def on(axes, D):
+        return reduce(np.kron, [D if a in axes else np.eye(N) for a in range(d)])
+
+    expected = sum(A[j, j] * on({j}, Dc) for j in range(d))
+    keep = np.diag((~closure_mask(basis, n, d)).astype(float))
+    for j1, j2 in combinations(range(d), 2):
+        expected = expected + keep @ ((A[j1, j2] + A[j2, j1]) * on({j1, j2}, D1))
     assert np.allclose(system.L.toarray(), expected, atol=1e-13)
-    assert system.size == N * N
+    assert system.size == N ** d
     assert system.gdd["accepted"] is True
 
 
@@ -189,11 +200,11 @@ def test_point_and_pin_closures():
     N = n + 1
     m = n // 2
     fhat = np.arange(1.0, N + 1.0)
-    sys_point = poisson_system("fourier", n, 1, fhat, closure="point", point_value=3.0)
+    sys_point = assemble_system(np.eye(1), "fourier", n, fhat, closure="point", point_value=3.0)
     row = sys_point.L.toarray()[m]
     assert np.allclose(row.real, np.ones(N)) and np.allclose(row.imag, 0.0)
     assert sys_point.rhs[m] == 3.0
-    sys_pin = poisson_system("fourier", n, 1, fhat, closure="pin", point_value=2.0)
+    sys_pin = assemble_system(np.eye(1), "fourier", n, fhat, closure="pin", point_value=2.0)
     row = sys_pin.L.toarray()[m]
     want = np.zeros(N)
     want[m] = 1.0
@@ -201,9 +212,9 @@ def test_point_and_pin_closures():
     assert sys_pin.rhs[m] == 2.0
     assert sys_point.q is None and sys_pin.q is None
     with pytest.raises(ParameterError):
-        poisson_system("chebyshev", n, 1, fhat, closure="point")
+        assemble_system(np.eye(1), "chebyshev", n, fhat, closure="point")
     with pytest.raises(ParameterError):
-        poisson_system("fourier", n, 1, fhat, closure="corner")
+        assemble_system(np.eye(1), "fourier", n, fhat, closure="corner")
 
 
 def test_assembly_guards():
@@ -211,6 +222,9 @@ def test_assembly_guards():
         assemble_system(np.eye(2), "fourier", 2, np.zeros(8))  # wrong fhat length
     with pytest.raises(ParameterError):
         assemble_system(np.eye(2), "legendre", 2, np.zeros(9))
+    with pytest.raises(BudgetExceeded):
+        # a diagonal A builds no mixed term, so this guard is assembly's own
+        assemble_system(np.eye(3), "chebyshev", 51, np.zeros(52 ** 3))
 
 
 @pytest.mark.parametrize("case", ["A", "fhat", "boundary", "point_value"])
@@ -259,7 +273,7 @@ def test_q_is_one_for_homogeneous_boundaries():
     zeros = [np.zeros(3)]
     q, prob = state_prep_q(fhat, zeros, [np.zeros(3)])
     assert q == 1.0 and prob == 1.0
-    system = poisson_system("fourier", 2, 1, np.ones(3))
+    system = assemble_system(np.eye(1), "fourier", 2, np.ones(3))
     assert system.q == 1.0
 
 
@@ -287,7 +301,7 @@ def test_system_q_matches_oracle(rng):
 
 
 def test_condition_report_against_dense_svd():
-    system = poisson_system("fourier", 4, 2, np.zeros(25))
+    system = assemble_system(np.eye(2), "fourier", 4, np.zeros(25))
     rep = condition_report(system)
     sv = np.linalg.svd(system.L.toarray(), compute_uv=False)
     assert rep["sigma_max"] == pytest.approx(sv[0], rel=1e-12)
@@ -298,7 +312,7 @@ def test_condition_report_against_dense_svd():
 
 
 def test_condition_report_refuses_above_dense_limit(monkeypatch):
-    system = poisson_system("fourier", 6, 1, np.zeros(7))
+    system = assemble_system(np.eye(1), "fourier", 6, np.zeros(7))
     monkeypatch.setattr(spectral_system, "DENSE_LIMIT", 7)
     assert condition_report(system)["kappa"] > 1.0
     monkeypatch.setattr(spectral_system, "DENSE_LIMIT", 6)
@@ -308,7 +322,7 @@ def test_condition_report_refuses_above_dense_limit(monkeypatch):
 
 def test_chebyshev_triple_product_singularity():
     # the closed operator has a zero Kronecker-sum eigenvalue at n = 2, d = 3
-    system = poisson_system("chebyshev", 2, 3, np.zeros(27))
+    system = assemble_system(np.eye(3), "chebyshev", 2, np.zeros(27))
     rep = condition_report(system)
     assert rep["sigma_min"] < 1e-10
     assert rep["within_poisson"] is False
