@@ -112,20 +112,28 @@ def _load_spec(args) -> dict:
     return spec
 
 
-def _parse(kind, value, name):
-    """kind(value) for one spec field; a value it rejects is a SpecError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"invalid {name} {value!r}: {exc}") from exc
+def _number(value, name, what="a number"):
+    """A numeric spec field: a JSON number, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 def _integer(value, name) -> int:
-    """An integer spec field: a JSON integer or an integral float, never a bool or string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not value.is_integer()):
+    """An integer spec field: a JSON integer or an integral float."""
+    if isinstance(_number(value, name, "an integer"), float) and not value.is_integer():
         raise SpecError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _numbers(value, name, dtype):
+    """A number or nested lists of numbers as an array of dtype; ragged lists are rejected."""
+    def check(v):
+        return [check(x) for x in v] if isinstance(v, list) else _number(v, name)
+    try:
+        return np.asarray(check(value), dtype=dtype)
+    except ValueError as exc:
+        raise SpecError(f"invalid {name} {value!r}: {exc}") from exc
 
 
 def _coeff_matrix(spec, d):
@@ -134,7 +142,7 @@ def _coeff_matrix(spec, d):
         if A != "identity":
             raise SpecError(f"A must be 'identity' or a {d}x{d} matrix, got {A!r}")
         return np.eye(d)
-    A = _parse(lambda a: np.asarray(a, dtype=float), A, "A")
+    A = _numbers(A, "A", float)
     if A.shape != (d, d):
         raise SpecError(f"A has shape {A.shape}, expected ({d}, {d})")
     return A
@@ -164,7 +172,7 @@ def _solve_spectral(spec, outdir, fmt) -> int:
         auto = spec.get("auto")
         if not isinstance(auto, dict) or not all(key in auto for key in ("eps", "g", "gprime")):
             raise SpecError("auto-n requires auto: {eps, g, gprime}")
-        g, gprime, eps = (_parse(float, auto[key], f"auto.{key}")
+        g, gprime, eps = (float(_number(auto[key], f"auto.{key}"))
                           for key in ("g", "gprime", "eps"))
         # the printed closed formula undershoots its own inequality; solve
         # at the certified order and record both
@@ -194,9 +202,9 @@ def _solve_spectral(spec, outdir, fmt) -> int:
         if closure == "axes":
             if gamma is None:
                 raise SpecError("boundary data 'gamma' is required for this problem")
-            if np.isscalar(gamma):
+            if not isinstance(gamma, list):
                 gamma = [[gamma, gamma]] * d
-            gamma = _parse(lambda g: np.asarray(g, dtype=complex), gamma, "gamma")
+            gamma = _numbers(gamma, "gamma", complex)
             if gamma.shape != (d, 2):
                 raise SpecError(f"gamma must be a number or {d} pairs [g+, g-], "
                                 f"got shape {gamma.shape}")
@@ -212,7 +220,8 @@ def _solve_spectral(spec, outdir, fmt) -> int:
             system = assemble_system(A, basis, n, fhat, boundary=boundary)
         else:
             system = assemble_system(A, basis, n, fhat, closure=closure,
-                                     point_value=_parse(complex, gamma or 0.0, "gamma"))
+                                     point_value=complex(_number(
+                                         0.0 if gamma is None else gamma, "gamma")))
         result = solve_system(system)
         values = result.node_values()
     meta["runtime_ms"] = 1e3 * (time.perf_counter() - t0)

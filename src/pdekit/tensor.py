@@ -12,7 +12,7 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["along", "kron", "kron_sum", "axis_sum"]
+__all__ = ["along", "kron", "kron_sum", "kron_sum_apply", "axis_sum"]
 
 
 def along(x, axis: int, ndim: int) -> np.ndarray:
@@ -35,6 +35,21 @@ def kron_sum(blocks) -> sp.csr_matrix:
     d = len(blocks)
     terms = [kron([b if a == j else None for a in range(d)]) for j, b in enumerate(blocks)]
     return sum(terms[1:], terms[0])
+
+
+def kron_sum_apply(blocks, x) -> np.ndarray:
+    """kron_sum(blocks) @ x one axis at a time, never forming the d-dimensional sum.
+
+    Each block acts on the fibres of its axis; with sparse blocks the products
+    run in scipy's own loops, not in (threaded) BLAS.
+    """
+    shape = [b.shape[0] for b in blocks]
+    cube = np.reshape(x, shape)
+    out = np.zeros(shape, dtype=np.result_type(cube, *(b.dtype for b in blocks)))
+    for j, b in enumerate(blocks):
+        fibres = np.moveaxis(cube, j, 0)
+        out += np.moveaxis((b @ fibres.reshape(shape[j], -1)).reshape(fibres.shape), 0, j)
+    return out.reshape(-1)
 
 
 def axis_sum(values, d: int) -> np.ndarray:

@@ -5,12 +5,16 @@ Conventions (N = n + 1, m = floor(n/2)):
   shifted Fourier (qsft):   v_hat_l = N^{-1/2} sum_k e^{2 pi i (k-m)(l-N/2)/N} v_k
   weighted cosine  (qct):   v_hat_l = sqrt(2/n) sum_k delta_k delta_l cos(k l pi / n) v_k
                             with delta_0 = delta_n = 1/sqrt(2), 1 otherwise
+  sector (DCT-II, DST-II):  v_hat_l = sqrt(2/n) delta_l sum_j cos or sin(pi l (j + 1/2) / n) v_j
+                            on n points, l = 0..n-1 (cos) or l = 1..n (sin)
 
 The qsft factors as (post phase) * (plain unitary DFT) * (pre phase), giving
 an O(N log N) path through the FFT; the plain DFT here uses the +i kernel,
 i.e. the orthonormal inverse FFT of numpy.  The qct is real symmetric
 orthogonal (an involution), computed fast through the even extension of
-length 2n.  Matrices are materialized only for tests and small systems.
+length 2n.  The sector transforms are the orthonormal eigenbases of the
+Neumann (cos) and Dirichlet (sin) restricted lattice operators, computed
+through one real FFT of the mirror extension of length 2n.  Matrices are materialized only for tests and small systems.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "cyclic_permutation",
     "qsft_apply",
     "qct_apply",
+    "sector_apply",
 ]
 
 
@@ -130,3 +135,34 @@ def qct_apply(v: np.ndarray, axis: int = -1) -> np.ndarray:
     A = 0.5 * (Y + z[..., :1] + ((-1.0) ** np.arange(n + 1)) * z[..., n:])
     res = np.sqrt(2.0 / n) * d * A
     return np.moveaxis(res if np.iscomplexobj(v) else res.real, -1, axis)
+
+
+def sector_apply(v: np.ndarray, bc: str, inverse: bool = False, axis: int = -1) -> np.ndarray:
+    """Apply the orthonormal sector transform of bc (or its inverse, the transpose)
+    along one axis: the DCT-II for "neumann", the DST-II for "dirichlet".
+
+    Fast path: the mirror extension [v, +-reversed v] of length 2n is the
+    parent-lattice vector; its real FFT times e^{-i pi l/2n} delta_l / sqrt(2n)
+    holds the cos sums in its real part and minus the sin sums in its
+    imaginary part.  The inverse divides by the same factors and takes the
+    first n points of the inverse real FFT.
+    """
+    if bc not in ("neumann", "dirichlet"):
+        raise ParameterError(f"bc must be neumann or dirichlet, got {bc!r}")
+    v = np.moveaxis(np.asarray(v, dtype=float), axis, -1)
+    n = v.shape[-1]
+    if n < 1:
+        raise ParameterError("the sector transform needs n >= 1")
+    w = np.exp(-0.5j * np.pi * np.arange(n + 1) / n) * endpoint_weights(n) / np.sqrt(2.0 * n)
+    if inverse:
+        Y = np.zeros(v.shape[:-1] + (n + 1,), dtype=complex)
+        if bc == "neumann":
+            Y[..., :n] = v
+        else:
+            Y[..., 1:] = -1j * v
+        res = np.fft.irfft(Y / w, 2 * n)[..., :n]
+    else:
+        sign = 1.0 if bc == "neumann" else -1.0
+        Y = w * np.fft.rfft(np.concatenate([v, sign * v[..., ::-1]], axis=-1))
+        res = Y.real[..., :n] if bc == "neumann" else -Y.imag[..., 1:]
+    return np.moveaxis(res, -1, axis)

@@ -220,6 +220,23 @@ class TestSolveSpectral:
         {"method": "spectral", "basis": "chebyshev", "d": 1.7, "n": 8, "solution": "exp-sin"},
         {"method": "spectral", "basis": "fourier", "d": 1, "n": 8, "f": "sin-pi",
          "gamma": [[1.0, 5.0]]},
+        {"method": "spectral", "basis": "chebyshev", "d": 1, "n": 8, "f": "one", "gamma": True},
+        {"method": "spectral", "basis": "chebyshev", "d": 1, "n": 8, "f": "one",
+         "gamma": [[1.0, False]]},
+        {"method": "spectral", "basis": "fourier", "d": 1, "n": 8, "f": "sin-pi",
+         "closure": "point", "gamma": False},
+        {"method": "spectral", "basis": "chebyshev", "d": 1, "n": 8, "f": "one", "gamma": 1.0,
+         "A": [[True]]},
+        {"method": "spectral", "basis": "chebyshev", "d": 1, "n": 8, "f": "one", "gamma": 1.0,
+         "A": [[1.0], [2.0, 3.0]]},
+        {"method": "spectral", "basis": "chebyshev", "d": 1, "n": "auto", "solution": "exp-sin",
+         "auto": {"eps": True, "g": 1.0, "gprime": 1.0}},
+        {"method": "spectral", "basis": "chebyshev", "d": 1, "n": "auto", "solution": "exp-sin",
+         "auto": {"eps": 1e-6, "g": True, "gprime": 1.0}},
+        {"method": "spectral", "basis": "chebyshev", "d": 1, "n": "auto", "solution": "exp-sin",
+         "auto": {"eps": 1e-6, "g": 1.0, "gprime": False}},
+        {"method": "spectral", "basis": "chebyshev", "d": 1, "n": "auto", "solution": "exp-sin",
+         "auto": {"eps": "1e-6", "g": 1.0, "gprime": 1.0}},
     ])
     def test_malformed_fields_are_spec_errors(self, spec, tmp_path, capsys):
         path = tmp_path / "spec.json"

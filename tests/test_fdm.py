@@ -5,10 +5,13 @@ identities (matvec against the dense operator, folded sources, eigenvalue
 envelopes) are checked against independently built matrices.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdekit import fdm
 from pdekit.errors import (
@@ -169,7 +172,8 @@ class TestGridAndAssembly:
         R = restrict(make_stencil(k), n, "dirichlet")
         eye = np.eye(R.shape[0])
         expected = (np.kron(R, eye) + np.kron(eye, R)) / h ** 2
-        assert np.allclose(system.matrix.toarray(), expected, atol=1e-12)
+        assert np.allclose(system.matrix.toarray(), R / h ** 2, atol=1e-12)
+        assert np.allclose(kron_sum([system.matrix] * 2).toarray(), expected, atol=1e-12)
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     @pytest.mark.parametrize("d,n,k", [(1, 32, 5), (2, 12, 3), (3, 8, 2)])
@@ -179,7 +183,7 @@ class TestGridAndAssembly:
         f = lambda *X: np.prod([fn(x + h / 2) for x in X], axis=0)
         system = assemble(FdmProblem(d=d, n=n, k=k, rhs_sampler=f, bc=bc))
         closed = np.sort(axis_sum(system.eig_axis, d).reshape(-1)) / h ** 2
-        dense = np.linalg.eigvalsh(system.matrix.toarray())
+        dense = np.linalg.eigvalsh(kron_sum([system.matrix] * d).toarray())
         assert np.allclose(closed, dense, rtol=0.0, atol=1e-12 * np.abs(dense).max())
         # the closed-form kappa; Dirichlet sectors have no kernel, Neumann
         # ones the constant
@@ -236,12 +240,12 @@ class TestSolvePaths:
         assert gap <= 1e-8
         assert abs(a.values.mean()) <= 1e-12 and abs(b.values.mean()) <= 1e-12
 
-    def test_eigen_restricted_rejected(self):
+    def test_eigen_solves_restricted_and_jacobi_rejected(self):
         h = math.pi / 8
         p = FdmProblem(d=1, n=8, k=1, rhs_sampler=lambda x: np.sin(x + h / 2),
                        bc="dirichlet")
-        with pytest.raises(ParameterError, match="periodic"):
-            solve(assemble(p), method="eigen")
+        field = solve(assemble(p), method="eigen")
+        assert field.method == "eigen" and field.residual <= fdm.CG_TOL
         with pytest.raises(ParameterError, match="method"):
             solve(assemble(p), method="jacobi")
 
@@ -253,16 +257,18 @@ class TestSolvePaths:
         h = math.pi / n
         trig = np.sin if bc == "dirichlet" else np.cos
         p = FdmProblem(d=1, n=n, k=k, rhs_sampler=lambda x: -trig(x + h / 2), bc=bc)
-        field = solve(assemble(p))
         exact = fold_vector(trig(math.pi * np.arange(2 * n) / n + h / 2), bc)
         if bc == "neumann":
             exact = exact - exact.mean()
-        rep = error_report(field, exact=exact)
-        assert rep["l2_rel"] == pytest.approx(1.6458e-5, rel=0.05)
-        assert rep["linf"] == pytest.approx(2.3164e-5, rel=0.05)
+        cg = solve(assemble(p), method="cg")
+        for field in (cg, solve(assemble(p))):
+            rep = error_report(field, exact=exact)
+            assert rep["l2_rel"] == pytest.approx(1.6458e-5, rel=0.05)
+            assert rep["linf"] == pytest.approx(2.3164e-5, rel=0.05)
+            assert field.residual <= fdm.CG_TOL
         # the folded trig sample is an eigenvector of the restricted
         # operator, so conjugate gradient lands in one step
-        assert field.iterations == 1
+        assert cg.iterations == 1
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     def test_zero_source_solves_to_zero(self, bc):
@@ -282,7 +288,7 @@ class TestSolvePaths:
         monkeypatch.setattr(fdm, "CG_TOL", 1e-20)
         stall = r"after \d{1,3} iterations \(cap \d{4,}\)"
         with pytest.raises(ConvergenceFailure, match=stall) as err:
-            solve(assemble(p))
+            solve(assemble(p), method="cg")
         assert 1e-20 < err.value.residual < 1e-12
 
     def test_cg_on_periodic_pins_mean(self):
@@ -290,6 +296,87 @@ class TestSolvePaths:
         field = solve(assemble(p), method="cg")
         assert abs(field.values.mean()) <= 1e-13
         assert field.residual <= 1e-10
+
+
+BOUNDED = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+def with_random_rhs(bc, d, n, k, seed):
+    """An assembled lattice system whose rhs is replaced by a seeded one off the kernel."""
+    h = math.pi / n
+    trig = np.cos if bc == "neumann" else np.sin
+    shift = 0.0 if bc == "periodic" else h / 2
+    system = assemble(FdmProblem(d=d, n=n, k=k, bc=bc, rhs_sampler=lambda *X: np.prod(
+        [trig(x + shift) for x in X], axis=0)))
+    b = np.random.default_rng(seed).normal(size=system.rhs.size)
+    if bc != "dirichlet":
+        b -= b.mean()
+    return dataclasses.replace(system, rhs=b)
+
+
+def pinned_dense_solve(A, b, singular):
+    """The zero-mean solution of A u = b: the constant kernel is lifted by a rank-one term."""
+    if singular:
+        A = A + np.abs(A).max() / A.shape[0]
+    return np.linalg.solve(A, b)
+
+
+@pytest.mark.filterwarnings("ignore:k=.*condition-number bands:UserWarning")
+class TestFastPathOracles:
+    """The eigenbasis solves against CG and dense solves of the assembled operator."""
+
+    @BOUNDED
+    @given(st.sampled_from(["dirichlet", "neumann"]), st.integers(1, 3), st.integers(1, 6),
+           st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_restricted_transform_matches_cg_and_dense(self, bc, d, k, extra, seed):
+        n = 2 * k + (extra if d < 3 else 1)   # k < n/2, and at most 13^3 rows
+        system = with_random_rhs(bc, d, n, k, seed)
+        R = restrict(make_stencil(k), n, bc) / (math.pi / n) ** 2
+        A = kron_sum([R] * d).toarray()
+        b = system.rhs
+        dense = pinned_dense_solve(A, b, bc == "neumann")
+        fast, cg = solve(system), solve(system, method="cg")
+        assert fast.method == "eigen" and fast.iterations == 0
+        assert fast.residual <= fdm.CG_TOL
+        assert np.linalg.norm(A @ fast.values - b) <= 2 * fdm.CG_TOL * np.linalg.norm(b)
+        gap = 10 * condition_number(system.eig_axis, d) * fdm.CG_TOL * np.linalg.norm(dense)
+        assert np.linalg.norm(fast.values - dense) <= gap
+        assert np.linalg.norm(fast.values - cg.values) <= gap
+
+    @BOUNDED
+    @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.data())
+    def test_periodic_rfft_matches_dense_circulant(self, d, seed, data):
+        n = data.draw(st.integers(2, (16, 10, 6)[d - 1]))
+        k = data.draw(st.integers(1, min(6, n - 1)))   # stencil width 2k+1 <= 2n
+        system = with_random_rhs("periodic", d, n, k, seed)
+        A = kron_sum([circulant(k, n)] * d).toarray() / system.problem.h ** 2
+        b = system.rhs
+        dense = pinned_dense_solve(A, b, True)
+        fast = solve(system)
+        assert fast.method == "eigen"
+        x = np.random.default_rng(seed + 1).normal(size=b.size)
+        assert np.allclose(system.matvec(x), A @ x, rtol=0, atol=1e-12 * np.abs(A).max())
+        gap = 10 * condition_number(system.eig_axis, d) * 1e-15 * np.linalg.norm(dense)
+        assert np.linalg.norm(fast.values - dense) <= gap
+        assert fast.residual == pytest.approx(
+            np.linalg.norm(A @ fast.values - b) / np.linalg.norm(b), rel=0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_restricted_transform_refines_on_the_operator_residual(self, bc):
+        # a spectrum off by 1e-6 leaves the first division that far off; the
+        # residual comes from the operator itself, so refinement recovers
+        system = with_random_rhs(bc, 2, 16, 3, 1)
+        exact = solve(system, method="cg").values
+        field = solve(dataclasses.replace(system, eig_axis=system.eig_axis * (1 + 1e-6)))
+        assert field.residual <= fdm.CG_TOL
+        assert np.linalg.norm(field.values - exact) <= 1e-10 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_restricted_transform_raises_below_rounding_floor(self, bc, monkeypatch):
+        monkeypatch.setattr(fdm, "CG_TOL", 1e-20)
+        with pytest.raises(ConvergenceFailure, match="eigenbasis division stopped") as err:
+            solve(with_random_rhs(bc, 2, 16, 3, 0))
+        assert 1e-20 < err.value.residual < 1e-12
 
 
 class TestErrorReport:

@@ -9,6 +9,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +21,9 @@ from pdekit.laplacian import eigenvalues_1d
 from pdekit.solver import analyze_values, synthesize_nodes
 from pdekit.spectral_ops import diff_matrix, multi_diff
 from pdekit.stencil import make_stencil
-from pdekit.tensor import axis_sum, kron, kron_sum
-from pdekit.transforms import endpoint_weights, qct_matrix, qsft_apply, qsft_matrix
+from pdekit.tensor import axis_sum, kron, kron_sum, kron_sum_apply
+from pdekit.transforms import (endpoint_weights, qct_matrix, qsft_apply, qsft_matrix,
+                               sector_apply)
 
 from conftest import circulant
 
@@ -135,6 +138,20 @@ def test_qsft_inverse_round_trips_along_every_axis(d, n, seed):
 
 
 @BOUNDED
+@given(st.sampled_from(["dirichlet", "neumann"]), st.integers(1, 3), st.integers(1, 9),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_sector_transform_matches_scipy_along_every_axis(bc, d, n, seed, data):
+    axis = data.draw(st.integers(0, d - 1))
+    cube = np.random.default_rng(seed).normal(size=[n] * d)
+    dct = scipy.fft.dct if bc == "neumann" else scipy.fft.dst
+    T = dct(np.eye(n), type=2, norm="ortho", axis=0)
+    want = np_kron([T if a == axis else np.eye(n) for a in range(d)]) @ cube.reshape(-1)
+    got = sector_apply(cube, bc, axis=axis)
+    assert np.allclose(got.reshape(-1), want, rtol=0, atol=1e-13)
+    assert np.allclose(sector_apply(got, bc, inverse=True, axis=axis), cube, rtol=0, atol=1e-13)
+
+
+@BOUNDED
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.data())
 def test_kron_kron_sum_and_axis_sum_match_numpy(d, size, seed, data):
     rng = np.random.default_rng(seed)
@@ -148,6 +165,17 @@ def test_kron_kron_sum_and_axis_sum_match_numpy(d, size, seed, data):
     values = rng.normal(size=size)
     assert np.allclose(axis_sum(values, d).reshape(-1),
                        np.diag(np_kron_sum([np.diag(values)] * d)), atol=1e-13)
+
+
+@BOUNDED
+@given(st.integers(1, 3), st.integers(1, 5), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_kron_sum_apply_matches_kron_sum(d, size, sparse, seed):
+    rng = np.random.default_rng(seed)
+    blocks = [rng.normal(size=(size, size)) for _ in range(d)]
+    if sparse:
+        blocks = [sp.csr_matrix(b) for b in blocks]
+    x = rng.normal(size=size ** d)
+    assert np.allclose(kron_sum_apply(blocks, x), kron_sum(blocks) @ x, rtol=0, atol=1e-12)
 
 
 @BOUNDED
@@ -174,4 +202,5 @@ def test_lattice_kron_sums_match_numpy(d, n, k, bc):
     system = assemble(FdmProblem(d=d, n=n, k=1, bc=bc, rhs_sampler=lambda *X: np.prod(
         [sector(x + h / 2) for x in X], axis=0)))
     R = restrict(make_stencil(1), n, bc)
-    assert np.allclose(system.matrix.toarray(), np_kron_sum([R] * d) / h ** 2, rtol=1e-15, atol=0)
+    assert np.allclose(kron_sum([system.matrix] * d).toarray(), np_kron_sum([R] * d) / h ** 2,
+                       rtol=1e-15, atol=0)

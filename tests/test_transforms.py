@@ -5,6 +5,9 @@ import pytest
 import scipy.fft
 
 from pdekit.errors import ParameterError
+from pdekit.images import restrict
+from pdekit.laplacian import eigenvalues_1d
+from pdekit.stencil import make_stencil
 from pdekit.transforms import (
     alternating_phase,
     centering_phase,
@@ -15,6 +18,7 @@ from pdekit.transforms import (
     qct_matrix,
     qsft_apply,
     qsft_matrix,
+    sector_apply,
     twiddle_phase,
 )
 
@@ -113,6 +117,24 @@ def test_qct_needs_two_rows():
         qct_matrix(0)
     with pytest.raises(ParameterError):
         qct_apply(np.ones(1))
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("n,k", [(3, 1), (9, 2), (16, 3), (24, 5)])
+def test_sector_transform_diagonalizes_restricted_operator(bc, n, k):
+    T = sector_apply(np.eye(n), bc, axis=0)
+    assert np.allclose(T @ T.T, np.eye(n), atol=1e-14)
+    D = T @ restrict(make_stencil(k), n, bc) @ T.T
+    lam = eigenvalues_1d(make_stencil(k), n)
+    assert np.allclose(D, np.diag(lam[1:n + 1] if bc == "dirichlet" else lam[:n]),
+                       rtol=0, atol=1e-13 * np.abs(lam).max())
+
+
+def test_sector_transform_rejections():
+    with pytest.raises(ParameterError, match="bc"):
+        sector_apply(np.ones(4), "periodic")
+    with pytest.raises(ParameterError, match="n >= 1"):
+        sector_apply(np.ones((3, 0)), "neumann")
 
 
 @pytest.mark.parametrize("kind", ["qsft", "qct", "qft", "phase_pre", "phase_post",
