@@ -8,7 +8,8 @@ Two solver families over [-1, 1]^d / [0, 2pi)^d:
 * pseudo-spectral collocation (transforms, spectral_ops, spectral_system,
   solver): shifted-Fourier and weighted-cosine transforms, differentiation
   matrices with boundary closure rows, Kronecker-sum assembly for second-
-  order elliptic operators, direct solves with residual certificates.
+  order elliptic operators, GMRES solves preconditioned by the Kronecker
+  sum inverted one axis at a time, with residual certificates.
 
 The golden module reproduces the published worked example, the suites
 module holds the bound-verification sweeps, and the cli module runs them.

@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 import time
+from itertools import count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .laplacian import condition_number
 from .matrixio import write_coordinate
 from .solver import analyze_values, node_grids, solve_manufactured, solve_system
 from .spectral_system import (assemble_system, certified_truncation_order,
-                              choose_truncation, condition_report)
+                              choose_truncation, condition_report, min_eig_sum)
 
 SUITES = tuple(suites.SUITES)
 
@@ -225,8 +226,11 @@ def _solve_spectral(spec, outdir, fmt) -> int:
         result = solve_system(system)
         values = result.node_values()
     meta["runtime_ms"] = 1e3 * (time.perf_counter() - t0)
+    meta["solver"] = "gmres"
     meta["residual"] = result.residual
+    meta["iterations"] = result.iterations
     meta["q"] = system.q
+    meta["min_eig_sum"] = min_eig_sum(system)
     try:
         meta["kappa"] = condition_report(system)["kappa"]
     except BudgetExceeded:
@@ -316,13 +320,12 @@ def _write_solution(outdir, fmt, basis, n, d, values, meta) -> None:
                    "values_im": values.imag.tolist() if np.iscomplexobj(values) else None}
         (out / "solution.json").write_text(json.dumps(payload) + "\n")
     else:
-        side = values.size
+        # the rows csv.writer writes for [i, repr(re), repr(im)]: float reprs need no quoting
+        re = values.real.astype(float).tolist()
+        im = values.imag.tolist() if np.iscomplexobj(values) else repeat(0.0)
         with open(out / "solution.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "re", "im"])
-            for i in range(side):
-                v = complex(values[i])
-                writer.writerow([i, repr(v.real), repr(v.imag)])
+            fh.write("index,re,im\r\n")
+            fh.writelines(f"{i},{r!r},{m!r}\r\n" for i, r, m in zip(count(), re, im))
     ext = "json" if fmt == "json" else "csv"
     print(f"wrote {out}/solution.{ext} and {out}/metadata.json")
     print(json.dumps(meta, indent=2, default=str))

@@ -35,6 +35,7 @@ __all__ = [
 
 BASES = ("fourier", "chebyshev")
 SYSTEM_BUDGET = 1 << 17  # max rows of an assembled operator (storage is sparse)
+NNZ_BUDGET = 1 << 24  # max stored nonzeros of one assembled mixed term
 DENSE_LIMIT = 4096  # max rows of an operator factorized densely (SVD)
 
 
@@ -112,7 +113,8 @@ def multi_diff(pattern, basis: str, n: int, d: int) -> sp.csr_matrix:
 
     pattern is a length-d 0/1 multi-index with exactly two 1s: it places the
     plain first-derivative matrix on both axes, with no closure rows
-    anywhere, and the identity elsewhere.
+    anywhere, and the identity elsewhere.  Its nonzeros, nnz(D1)^2 N^(d-2),
+    are counted before it is built; above NNZ_BUDGET it raises BudgetExceeded.
     """
     pattern = tuple(int(p) for p in pattern)
     if len(pattern) != d:
@@ -123,6 +125,9 @@ def multi_diff(pattern, basis: str, n: int, d: int) -> sp.csr_matrix:
     if N ** d > SYSTEM_BUDGET:
         raise BudgetExceeded(f"operator of size {N ** d} exceeds budget")
     D = diff_matrix(basis, 1, n)
+    nnz = D.nnz ** 2 * N ** (d - 2)
+    if nnz > NNZ_BUDGET:
+        raise BudgetExceeded(f"mixed term of {nnz} nonzeros exceeds NNZ_BUDGET={NNZ_BUDGET}")
     return kron([D if p else None for p in pattern])
 
 

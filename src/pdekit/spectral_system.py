@@ -44,6 +44,7 @@ __all__ = [
     "SpectralSystem",
     "assemble_system",
     "state_prep_q",
+    "min_eig_sum",
     "condition_report",
 ]
 
@@ -150,7 +151,7 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
     plus slot with minus None; the alternative closures "point"/"pin" take
     the scalar point_value instead.  Non-finite A, fhat or boundary data are
     rejected, and so is a system above SYSTEM_BUDGET rows (BudgetExceeded),
-    before anything is built.
+    before anything is built, or a mixed term above NNZ_BUDGET nonzeros.
     """
     A = np.asarray(A)
     _require_finite("A", A)
@@ -173,8 +174,7 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
 
     # the number of closure axes of each row (axis 0 slowest)
     closed = axis_sum(np.isin(np.arange(N), boundary_row_indices(basis, n)), d).reshape(-1)
-    B = diff_matrix(basis, 2, n, with_boundary_rows=True)
-    L = kron_sum([A[j, j] * B for j in range(d)])
+    # the mixed terms first: multi_diff checks NNZ_BUDGET before it builds
     mixed = None
     for j1 in range(d):
         for j2 in range(j1 + 1, d):
@@ -184,6 +184,8 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
                 pat[j1] = pat[j2] = 1
                 term = w * multi_diff(pat, basis, n, d)
                 mixed = term if mixed is None else mixed + term
+    B = diff_matrix(basis, 2, n, with_boundary_rows=True)
+    L = kron_sum([A[j, j] * B for j in range(d)])
     if mixed is not None:
         # constraint rows must stay exact; zero the mixed action there
         L = L + sp.diags((closed == 0).astype(float)) @ mixed
@@ -255,12 +257,26 @@ def state_prep_q(fhat, weighted_plus, weighted_minus=None):
     return q, 1.0 / (q * q)
 
 
+def min_eig_sum(system) -> float:
+    """min |sum_j A_jj lam_j| over the eigenvalues lam of the closed block B.
+
+    These sums are the eigenvalues of the pure part kron_sum(A_jj B), so a
+    small value flags a nearly singular operator without assembling or
+    factoring anything: one eigenvalue solve of B and an O(N^d) broadcast.
+    """
+    B = diff_matrix(system.basis, 2, system.n, with_boundary_rows=True)
+    lam = np.linalg.eigvals(B.toarray())
+    d = system.d
+    return float(np.abs(axis_sum([system.A[j, j] * lam for j in range(d)], d)).min())
+
+
 def condition_report(system) -> dict:
     """Extreme singular values of L, by dense SVD, and the bounds they are measured against.
 
     Systems above DENSE_LIMIT rows raise BudgetExceeded.  bound_poisson is
     (2n)^4; bound_general scales it by norm_sigma / (C * norm_star) when the
-    operator is GDD-accepted.
+    operator is GDD-accepted.  min_eig_sum is the near-singularity indicator
+    of the pure part (see min_eig_sum).
     """
     size = system.L.shape[0]
     if size > DENSE_LIMIT:
@@ -282,4 +298,5 @@ def condition_report(system) -> dict:
         "bound_general": bound_general,
         "within_poisson": kappa <= bound_poisson,
         "within_general": kappa <= bound_general,
+        "min_eig_sum": min_eig_sum(system),
     }

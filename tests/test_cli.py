@@ -4,15 +4,17 @@ Everything drives main(argv) in process; artifacts land in tmp_path.
 """
 
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 import pdekit.spectral_system as spectral_system
-from pdekit.cli import EXAMPLES, SUITES, main
+from pdekit.cli import EXAMPLES, SUITES, _write_solution, main
 from pdekit.golden import GOLDEN_NAMES, generate_golden
 from pdekit.matrixio import read_coordinate
+from pdekit.solver import manufactured_problem
 
 
 def read_csv(path):
@@ -172,6 +174,24 @@ class TestSolveSpectral:
         meta = json.loads((tmp_path / "metadata.json").read_text())
         assert "kappa" not in meta
         assert meta["residual"] < 1e-10
+        # the near-singularity indicator needs no dense report
+        assert meta["min_eig_sum"] > 0.0
+
+    def test_solver_and_iterations_recorded(self, tmp_path, capsys):
+        spec = {"method": "spectral", "basis": "chebyshev", "d": 2, "n": 12,
+                "A": [[1.0, 0.3], [0.3, 1.0]], "solution": "exp-sin"}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["solve", "--spec", str(path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        keys = list(meta)
+        assert keys[keys.index("residual") - 1:keys.index("residual") + 2] == [
+            "solver", "residual", "iterations"]
+        assert meta["solver"] == "gmres" and meta["iterations"] > 1
+        assert meta["residual"] <= 1e-12
+        system, _ = manufactured_problem("exp-sin", np.array(spec["A"]), "chebyshev", 12)
+        assert meta["min_eig_sum"] == spectral_system.min_eig_sum(system)
 
     def test_singular_system_is_runtime_failure(self, tmp_path, capsys):
         spec = {"method": "spectral", "basis": "chebyshev", "d": 3,
@@ -255,6 +275,36 @@ class TestSolveSpectral:
         assert main(["solve", "--example", "warp-core"]) == 2
         assert main(["solve"]) == 2
         capsys.readouterr()
+
+
+def csv_writer_bytes(values):
+    """solution.csv as csv.writer writes [i, repr(re), repr(im)] for each complex value."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["index", "re", "im"])
+    for i in range(values.size):
+        v = complex(values[i])
+        writer.writerow([i, repr(v.real), repr(v.imag)])
+    return fh.getvalue().encode()
+
+
+EDGE_VALUES = [0.0, -0.0, 1.0, -1.5, 1 / 3, 5e-324, -2.2250738585072014e-308,
+               1.7976931348623157e308, -1e300, 1e-5, 123456789.0, 1e16, np.inf, -np.inf, np.nan]
+COMPLEX_EDGES = np.array(EDGE_VALUES, dtype=complex)
+COMPLEX_EDGES.imag = -np.array(EDGE_VALUES[::-1])   # set apart: 1j * inf computes inf * 0
+
+
+@pytest.mark.parametrize("values", [
+    np.array(EDGE_VALUES),
+    COMPLEX_EDGES,
+    np.array([-0.0 - 0.0j, 0.0 - 0.0j, -0.0 + 0.0j]),
+    np.arange(7),
+    np.random.default_rng(5).normal(size=300) * 10.0 ** np.arange(-150, 150),
+], ids=["real", "complex", "signed-zeros", "integers", "exponents"])
+def test_solution_csv_matches_csv_writer(values, tmp_path, capsys):
+    _write_solution(tmp_path, "csv", "chebyshev", 2, 1, values, {})
+    capsys.readouterr()
+    assert (tmp_path / "solution.csv").read_bytes() == csv_writer_bytes(values)
 
 
 class TestSolveFdm:

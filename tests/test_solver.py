@@ -1,8 +1,15 @@
 """Node transforms, point evaluation and manufactured-solution solves."""
 
+import contextlib
+import math
+from itertools import combinations
+
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdekit.errors import ConvergenceFailure, ParameterError
 from pdekit.solver import (
@@ -17,6 +24,7 @@ from pdekit.solver import (
     solve_system,
     synthesize_nodes,
 )
+from pdekit.spectral_ops import random_gdd
 from pdekit.spectral_system import assemble_system
 
 
@@ -142,9 +150,123 @@ def test_solve_system_residual_certificate():
 
 
 def test_singular_system_raises():
+    # the pure part is singular: raised before any division, so no RuntimeWarning
     system = assemble_system(np.eye(3), "chebyshev", 2, np.ones(27))
-    with pytest.raises(ConvergenceFailure):
+    with pytest.raises(ConvergenceFailure, match="singular") as err:
         solve_system(system)
+    assert err.value.residual == math.inf
+
+
+def lu_oracle(system):
+    """The sparse-LU solve of L, its certified residual and a bound on ||L^-1||_2."""
+    L = system.L.tocsc().astype(complex)
+    lu = spla.splu(L)
+    c = lu.solve(np.asarray(system.rhs, dtype=complex))
+    denom = max(np.linalg.norm(system.rhs), 1.0)
+    residual = np.linalg.norm(system.L @ c - system.rhs) / denom
+    inverse = spla.LinearOperator(L.shape, matvec=lu.solve, dtype=complex,
+                                  rmatvec=lambda y: lu.solve(y, trans="H"))
+    # ||X||_2 <= sqrt(N) ||X||_1, and onenormest may fall short by a small factor
+    inv_norm = 10 * math.sqrt(L.shape[0]) * spla.onenormest(inverse)
+    return c, residual, inv_norm
+
+
+def assert_certified(system, result):
+    """The reported residual is the residual on L, and it meets the gate."""
+    denom = max(np.linalg.norm(system.rhs), 1.0)
+    assert result.residual == pytest.approx(
+        np.linalg.norm(system.L @ result.coeffs - system.rhs) / denom, rel=1e-6, abs=1e-16)
+    assert result.residual <= 1e-12
+
+
+def assert_matches_lu(system, result, c_lu, inv_norm):
+    """The two solves differ by no more than ||L^-1|| ||L (c - c_lu)||."""
+    gap = inv_norm * np.linalg.norm(system.L @ (result.coeffs - c_lu))
+    assert np.linalg.norm(result.coeffs - c_lu) <= gap
+
+
+@st.composite
+def spectral_systems(draw):
+    """Random systems of both bases, d = 1..3 and n = 2..12 (8 at d = 3).
+
+    The seed draws all but the basis, so the sizes spread evenly: d, n, a
+    diagonal or GDD A with some off-diagonal pairs zeroed, negated or not;
+    the closure; boundary (or point) data or none.
+    """
+    basis = draw(st.sampled_from(["fourier", "chebyshev"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = int(rng.integers(1, 4))
+    n = int(rng.integers(2, 13 if d < 3 else 9))
+    A = random_gdd(rng, d) if rng.random() < 0.7 else np.diag(rng.uniform(0.5, 2.0, size=d))
+    for j1, j2 in combinations(range(d), 2):
+        if rng.random() < 0.3:
+            A[j1, j2] = A[j2, j1] = 0.0
+    A = A if rng.random() < 0.5 else -A
+    closure = "axes" if basis == "chebyshev" else rng.choice(["axes", "point", "pin"])
+    N = n + 1
+    fhat = rng.normal(size=N ** d) + 1j * rng.normal(size=N ** d)
+    with_data = rng.random() < 0.5
+    if closure != "axes":
+        return assemble_system(A, basis, n, fhat, closure=str(closure),
+                               point_value=rng.normal() if with_data else 0.0)
+    boundary = None
+    if with_data:
+        boundary = [(rng.normal(size=N ** (d - 1)),
+                     rng.normal(size=N ** (d - 1)) if basis == "chebyshev" else None)
+                    for _ in range(d)]
+    return assemble_system(A, basis, n, fhat, boundary=boundary)
+
+
+class TestSolveOracles:
+    """The preconditioned GMRES solve against a sparse LU of the same L."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(spectral_systems())
+    def test_matches_sparse_lu(self, system):
+        c_lu, lu_residual, inv_norm = lu_oracle(system)
+        if lu_residual > 1e-12:
+            # the LU misses the gate as well (a rounding floor): only honesty is asked
+            with contextlib.suppress(ConvergenceFailure):
+                assert_certified(system, solve_system(system))
+            return
+        result = solve_system(system)
+        assert_certified(system, result)
+        assert_matches_lu(system, result, c_lu, inv_norm)
+
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_near_singular_pure_part(self, n):
+        # min |sum_j A_jj lam_j| is 1.8e-2 at n = 10 and kappa 6.5e7 (3.0 and 8.5 at n = 9, 11)
+        system, _ = manufactured_problem("exp-sin", np.diag([0.629, 1.857, 0.971]),
+                                         "chebyshev", n)
+        c_lu, lu_residual, inv_norm = lu_oracle(system)
+        result = solve_system(system)
+        assert lu_residual <= 1e-12 and result.iterations <= 2
+        assert_certified(system, result)
+        assert_matches_lu(system, result, c_lu, inv_norm)
+
+    @pytest.mark.parametrize("basis", ["fourier", "chebyshev"])
+    def test_pure_part_needs_at_most_a_step(self, basis):
+        name = "exp-sin" if basis == "chebyshev" else "exp-sin-pi"
+        for d in (1, 2, 3):
+            system, _ = manufactured_problem(name, np.diag([1.5, 0.5, 1.0][:d]), basis, 8)
+            assert solve_system(system).iterations <= 1
+        mixed, _ = manufactured_problem(name, np.array([[1.0, 0.3], [0.3, 1.0]]), basis, 16)
+        assert solve_system(mixed).iterations > 1
+
+    def test_no_sparse_lu_above_one_axis(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("splu called")
+        monkeypatch.setattr(spla, "splu", refuse)
+        system, _ = manufactured_problem("exp-sin", random_gdd(np.random.default_rng(3), 2),
+                                         "chebyshev", 16)
+        assert solve_system(system).residual <= 1e-12
+
+    def test_unreachable_tolerance_raises(self):
+        system, _ = manufactured_problem("exp-sin", np.array([[1.0, 0.3], [0.3, 1.0]]),
+                                         "chebyshev", 16)
+        with pytest.raises(ConvergenceFailure, match="stopped above") as err:
+            solve_system(system, tol=1e-20)
+        assert 1e-20 < err.value.residual < 1e-12
 
 
 # measured anchors for the two smooth families (normalized l2 at the nodes);

@@ -5,6 +5,7 @@ import numpy.polynomial.chebyshev as cheb
 import pytest
 import scipy.sparse as sp
 
+import pdekit.spectral_ops as spectral_ops
 from pdekit.errors import BudgetExceeded, ParameterError
 from pdekit.spectral_ops import boundary_row_indices, diff_matrix, gdd_check, multi_diff
 
@@ -134,6 +135,16 @@ def test_multi_diff_guards():
         multi_diff((1, 1, 0), "fourier", 4, 2)
     with pytest.raises(BudgetExceeded):
         multi_diff((1, 0, 1), "chebyshev", 255, 3)
+
+
+@pytest.mark.parametrize("basis, n, d", [("fourier", 12, 3), ("chebyshev", 9, 3),
+                                         ("chebyshev", 30, 2)])
+def test_multi_diff_nnz_is_predicted(basis, n, d, monkeypatch):
+    want = diff_matrix(basis, 1, n).nnz ** 2 * (n + 1) ** (d - 2)
+    assert multi_diff((1, 1) + (0,) * (d - 2), basis, n, d).nnz == want
+    monkeypatch.setattr(spectral_ops, "NNZ_BUDGET", want - 1)
+    with pytest.raises(BudgetExceeded, match=f"{want} nonzeros"):
+        multi_diff((1, 1) + (0,) * (d - 2), basis, n, d)
 
 
 def test_multi_diff_returns_csr():

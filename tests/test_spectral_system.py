@@ -19,8 +19,10 @@ from pdekit.spectral_system import (
     choose_truncation,
     condition_report,
     embed_boundary,
+    min_eig_sum,
     state_prep_q,
 )
+from pdekit.tensor import kron_sum
 
 
 def test_choose_truncation_reference_point():
@@ -336,3 +338,33 @@ def test_general_bound_uses_gdd_margin():
     want = g["norm_sigma"] / (g["C"] * g["norm_star"]) * (2 * 4) ** 4
     assert rep["bound_general"] == pytest.approx(want)
     assert rep["within_general"] is True
+
+
+@pytest.mark.parametrize("n, want", [(9, 2.999), (10, 1.806e-2), (11, 8.530)])
+def test_min_eig_sum_flags_the_near_singular_order(n, want):
+    # the pure part's smallest |sum_j A_jj lam_j| collapses at n = 10, where kappa is 6.5e7
+    A = np.diag([0.629, 1.857, 0.971])
+    system = assemble_system(A, "chebyshev", n, np.zeros((n + 1) ** 3))
+    assert min_eig_sum(system) == pytest.approx(want, rel=1e-3)
+
+
+@pytest.mark.parametrize("basis, n, d", [("chebyshev", 5, 3), ("chebyshev", 9, 2),
+                                         ("fourier", 6, 2), ("fourier", 4, 3)])
+def test_min_eig_sum_is_the_smallest_eigenvalue_of_the_pure_part(basis, n, d):
+    A = random_gdd(np.random.default_rng(n + d), d)
+    system = assemble_system(A, basis, n, np.zeros((n + 1) ** d))
+    B = diff_matrix(basis, 2, n, with_boundary_rows=True)
+    pure = kron_sum([A[j, j] * B for j in range(d)]).toarray()
+    assert min_eig_sum(system) == pytest.approx(np.abs(np.linalg.eigvals(pure)).min(), rel=1e-8)
+
+
+def test_condition_report_carries_min_eig_sum():
+    system = assemble_system(np.diag([1.0, 2.0]), "fourier", 4, np.zeros(25))
+    assert condition_report(system)["min_eig_sum"] == min_eig_sum(system)
+
+
+def test_mixed_term_over_nnz_budget_is_refused_before_it_is_built():
+    # 2 x 362^2 rows pass SYSTEM_BUDGET, but kron(D1, D1) would hold about 1.1e9 nonzeros
+    A = random_gdd(np.random.default_rng(0), 2)
+    with pytest.raises(BudgetExceeded, match="NNZ_BUDGET"):
+        assemble_system(A, "chebyshev", 361, np.zeros(362 ** 2))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ from pdekit.laplacian import eigenvalues_1d
 from pdekit.solver import analyze_values, synthesize_nodes
 from pdekit.spectral_ops import diff_matrix, multi_diff
 from pdekit.stencil import make_stencil
-from pdekit.tensor import axis_sum, kron, kron_sum, kron_sum_apply
+from pdekit.tensor import axis_sum, kron, kron_sum, kron_sum_apply, kron_sum_solver
 from pdekit.transforms import (endpoint_weights, qct_matrix, qsft_apply, qsft_matrix,
                                sector_apply)
 
@@ -176,6 +177,32 @@ def test_kron_sum_apply_matches_kron_sum(d, size, sparse, seed):
         blocks = [sp.csr_matrix(b) for b in blocks]
     x = rng.normal(size=size ** d)
     assert np.allclose(kron_sum_apply(blocks, x), kron_sum(blocks) @ x, rtol=0, atol=1e-12)
+
+
+@BOUNDED
+@given(st.integers(1, 3), st.integers(1, 6), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_kron_sum_solver_matches_sparse_solve(d, size, complex_blocks, complex_x, seed):
+    # shifted blocks keep every sum of eigenvalues away from zero
+    rng = np.random.default_rng(seed)
+    shape = (size, size)
+    blocks = [rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_blocks else 0)
+              + 3 * size * np.eye(size) for _ in range(d)]
+    blocks = [sp.csr_matrix(b) for b in blocks]
+    x = rng.normal(size=size ** d) + (1j * rng.normal(size=size ** d) if complex_x else 0)
+    want = spla.spsolve(kron_sum(blocks).tocsc(), x)
+    got = kron_sum_solver(blocks)(x)
+    assert np.iscomplexobj(got) == (complex_blocks or complex_x)
+    assert np.allclose(got, want, rtol=0, atol=1e-12 * np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kron_sum_solver_refuses_a_singular_sum(d):
+    # B, -B (and a zero block): the eigenvalue sums lam_i - lam_i vanish; B - B alone
+    B = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))
+    blocks = [[B - B], [B, -B], [B, -B, sp.csr_matrix((2, 2))]][d - 1]
+    with pytest.raises(np.linalg.LinAlgError):
+        kron_sum_solver(blocks)
 
 
 @BOUNDED
