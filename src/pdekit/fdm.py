@@ -352,7 +352,9 @@ def solve(system: FdmSystem, method: str = "auto") -> SolutionField:
 
 
 def error_report(s: SolutionField, exact=None) -> dict:
-    """Raw relative l2, sup norm, and the unit-vector (normalized) error."""
+    """Raw relative l2, sup norm, and the unit-vector (normalized) error; for
+    periodic and Neumann solves, which carry no constant-kernel component, the
+    exact field (array or callable) is compared after its mean is removed."""
     p = s.problem
     if exact is None:
         exact = p.exact_solution
@@ -362,9 +364,10 @@ def error_report(s: SolutionField, exact=None) -> dict:
         if p.bc != "periodic":
             raise ParameterError("pass folded exact values directly for restricted systems")
         ue = np.asarray(exact(*periodic_grid(p.n, p.d)), dtype=float).reshape(-1)
-        ue = ue - ue.mean()
     else:
         ue = np.asarray(exact, dtype=float).reshape(-1)
+    if p.bc in ("periodic", "neumann"):
+        ue = ue - ue.mean()
     nb = _norm(ue)
     if nb == 0.0:
         raise ParameterError("exact solution is identically zero; errors undefined")

@@ -2,8 +2,9 @@
 
 solve_system runs right-preconditioned GMRES on the sparse L.  The
 preconditioner inverts the pure part of L, the weighted Kronecker sum of the
-closed 1D block, one axis at a time; no global factorization is formed.
-Every solve certifies its residual on L itself.
+closed 1D block B, one axis at a time from a single eigendecomposition of B
+(its sparse LU at d = 1); no global factorization is formed.  Every solve
+certifies its residual on L itself.
 
 Node conventions (per axis, N = n + 1 points):
   fourier    x_l = 2l/N - 1,            basis functions e^{i pi (k - m) x},
@@ -29,7 +30,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, ParameterError
 from .expressions import builtin_expression
-from .spectral_ops import diff_matrix
+from .spectral_ops import BASES, diff_matrix
 from .spectral_system import SpectralSystem, assemble_system, condition_report
 from .tensor import along, kron_sum_solver
 from .transforms import endpoint_weights, qct_apply, qsft_apply
@@ -65,31 +66,40 @@ def node_grids(basis: str, n: int, d: int):
     return [nodes(basis, n)] * d
 
 
+def _cube(basis: str, values, n: int, d: int) -> np.ndarray:
+    """values as the (n+1)^d cube of one expansion, after the checks its axes share."""
+    if basis not in BASES:
+        raise ParameterError(f"unknown basis {basis!r}")
+    min_n = 1 if basis == "chebyshev" else 0
+    if n < min_n:
+        raise ParameterError(f"{basis} expansions need n >= {min_n}, got {n}")
+    values = np.asarray(values)
+    if values.size != (n + 1) ** d:
+        raise ParameterError(f"expected (n+1)^d = {(n + 1) ** d} values, got {values.size}")
+    return values.reshape([n + 1] * d)
+
+
 def analyze_values(basis: str, values, n: int, d: int = 1) -> np.ndarray:
     """Node values on the tensor grid -> coefficient vector."""
-    cube = np.asarray(values).reshape([n + 1] * d)
+    cube = _cube(basis, values, n, d)
     for axis in range(d):
         if basis == "fourier":
             cube = qsft_apply(cube, inverse=True, axis=axis) / math.sqrt(n + 1.0)
-        elif basis == "chebyshev":
+        else:
             delta = along(endpoint_weights(n), axis, d)
             cube = math.sqrt(2.0 / n) * delta * qct_apply(delta * cube, axis=axis)
-        else:
-            raise ParameterError(f"unknown basis {basis!r}")
     return cube.reshape(-1)
 
 
 def synthesize_nodes(basis: str, coeffs, n: int, d: int = 1) -> np.ndarray:
     """Coefficient vector -> values on the tensor grid (flattened)."""
-    cube = np.asarray(coeffs).reshape([n + 1] * d)
+    cube = _cube(basis, coeffs, n, d)
     for axis in range(d):
         if basis == "fourier":
             cube = math.sqrt(n + 1.0) * qsft_apply(cube, axis=axis)
-        elif basis == "chebyshev":
+        else:
             delta = along(endpoint_weights(n), axis, d)
             cube = math.sqrt(n / 2.0) * qct_apply(cube / delta, axis=axis) / delta
-        else:
-            raise ParameterError(f"unknown basis {basis!r}")
     return cube.reshape(-1)
 
 
@@ -99,13 +109,13 @@ def evaluate_at(basis: str, coeffs, n: int, d: int, points) -> np.ndarray:
     points is (m, d) (or a length-d vector for one point).  Chebyshev axes
     use the stable three-term recurrence; Fourier axes accumulate phases.
     """
+    cube = _cube(basis, coeffs, n, d)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != d:
         raise ParameterError(f"points have {pts.shape[1]} columns, expected {d}")
     if np.any(np.abs(pts) > 1.0 + 1e-12):
         raise ParameterError("evaluation points must lie in [-1, 1]^d")
     N = n + 1
-    cube = np.asarray(coeffs).reshape([N] * d)
     basis_rows = []
     for j in range(d):
         x = pts[:, j]
@@ -146,25 +156,21 @@ def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
     """Right-preconditioned GMRES on the sparse L with a relative-residual certificate.
 
     The preconditioner is the inverse of the pure part K = kron_sum(A_jj B),
-    applied one axis at a time (tensor.kron_sum_solver).  At d = 1, L is its
-    own one block and its sparse LU is the preconditioner.  GMRES starts from
-    K^-1 b and restarts while its residual falls and stays above
-    GMRES_AIM * tol.  When L is K (diagonal A, "axes" closure, or d = 1) that
-    takes at most a step or two; mixed terms and the point/pin rows are
-    corrections GMRES absorbs.  The certificate ||L c - b|| / max(||b||, 1)
+    applied one axis at a time from one diagonalization of the closed block B
+    (tensor.kron_sum_solver; at d = 1 K is A_00 B and its sparse LU).  GMRES
+    starts from K^-1 b and restarts while its residual falls and stays above
+    GMRES_AIM * tol.  When L is K (diagonal A, "axes" closure) that takes at
+    most a step or two; mixed terms and the point/pin rows are corrections
+    GMRES absorbs, at any d.  The certificate ||L c - b|| / max(||b||, 1)
     <= tol is computed on the sparse L, never through the preconditioner; a
     solve that stops above tol, or whose K is singular, raises
     ConvergenceFailure.
     """
     L = system.L
     rhs = np.asarray(system.rhs)
-    if system.d == 1:
-        blocks = [L]  # one axis: L is its own sum, whatever its closure
-    else:
-        B = diff_matrix(system.basis, 2, system.n, with_boundary_rows=True)
-        blocks = [system.A[j, j] * B for j in range(system.d)]
+    B = diff_matrix(system.basis, 2, system.n, with_boundary_rows=True)
     try:
-        precond = kron_sum_solver(blocks)
+        precond = kron_sum_solver(B, np.diag(system.A))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"the pure part of L cannot precondition: {exc}",
                                  residual=math.inf) from exc

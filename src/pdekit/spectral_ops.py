@@ -3,18 +3,20 @@ diagonal-dominance check for elliptic coefficient matrices.
 
 Fourier basis (N = n+1 modes, m = floor(n/2)): the first-derivative matrix
 is diag(i (k-m) pi), and the second-derivative matrix is its square.  The
-closed second-order operator replaces the zero row at k = m with an all-ones
-row (point evaluation of the mean mode constraint).
+closed second-order operator fills the zero row at k = m with ones, the
+point evaluation of every mode at x = 0.
 
 Chebyshev basis: the first-derivative matrix is upper triangular with entries
 2r/sigma_k at (k, r) for k+r odd, r > k (sigma_0 = 2, otherwise 1); its
 square has interior entries r(r^2 - k^2)/sigma_k for k+r even, r > k+1 and
-two zero rows at n-1, n.  The closed operator replaces those rows with point
+two empty rows at n-1, n.  The closed operator fills those rows with point
 evaluation at the interval ends: row n is all ones (value at +1, T_k(1) = 1)
 and row n-1 alternates (-1)^k (value at -1).
 
 Storage is sparse: the Fourier matrices are diagonal apart from one closure
-row, the Chebyshev ones keep the parity-structured triangle.
+row, the Chebyshev ones keep the parity-structured triangle.  Closure rows
+enter as COO entries; the closed block is the one 1D object the spectral
+path lifts (tensor.kron_sum) and inverts (tensor.kron_sum_solver).
 """
 
 from __future__ import annotations
@@ -45,16 +47,6 @@ def _cheb_pairs(n: int, offset: int):
     keep = (k + r) % 2 == offset % 2
     k, r = k[keep], r[keep]
     return k, r, np.where(k == 0, 2.0, 1.0)
-
-
-def _cheb_first(n: int) -> sp.csr_matrix:
-    k, r, sigma = _cheb_pairs(n, 1)
-    return sp.csr_matrix((2.0 * r / sigma, (k, r)), shape=(n + 1, n + 1))
-
-
-def _cheb_second(n: int) -> sp.csr_matrix:
-    k, r, sigma = _cheb_pairs(n, 2)
-    return sp.csr_matrix((r * (r * r - k * k) / sigma, (k, r)), shape=(n + 1, n + 1))
 
 
 def boundary_row_indices(basis: str, n: int) -> tuple:
@@ -91,21 +83,22 @@ def diff_matrix(basis: str, order: int, n: int, with_boundary_rows: bool = False
 
     N = n + 1
     if basis == "fourier":
-        m = n // 2
-        freq = (np.arange(N) - m) * np.pi
-        if order == 1:
-            return sp.diags(1j * freq).tocsr()
-        M = sp.diags((-(freq ** 2)).astype(complex)).tocsr().tolil()
-        if with_boundary_rows:
-            M[m, :] = np.ones(N)
+        freq = (np.arange(N) - n // 2) * np.pi
+        rows = cols = np.flatnonzero(freq)
+        vals = 1j * freq[rows] if order == 1 else (-(freq[rows] ** 2)).astype(complex)
     else:
-        if order == 1:
-            return _cheb_first(n)
-        M = _cheb_second(n).tolil()
-        if with_boundary_rows:
-            M[n, :] = np.ones(N)
-            M[n - 1, :] = (-1.0) ** np.arange(N)
-    return M.tocsr()
+        rows, cols, sigma = _cheb_pairs(n, order)
+        vals = (2.0 * cols if order == 1 else cols * (cols * cols - rows * rows)) / sigma
+    if with_boundary_rows:
+        # the closure rows are empty in the open block: the point evaluations fill them
+        plus, minus = boundary_row_indices(basis, n)
+        evals = {plus: np.ones(N)}  # T_k(1) = 1, and every Fourier mode is 1 at x = 0
+        if minus != plus:
+            evals[minus] = (-1.0) ** np.arange(N)  # T_k(-1)
+        rows = np.concatenate([rows, np.repeat(list(evals), N)])
+        cols = np.concatenate([cols, np.tile(np.arange(N), len(evals))])
+        vals = np.concatenate([vals, *evals.values()])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
 
 
 def multi_diff(pattern, basis: str, n: int, d: int) -> sp.csr_matrix:

@@ -193,13 +193,10 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
     if closure in ("point", "pin"):
         _require_finite("point_value", point_value)
         center = np.ravel_multi_index([n // 2] * d, [N] * d)
-        L = L.tolil()
-        if closure == "point":
-            L[center, :] = np.ones(N ** d)
-        else:
-            L[center, :] = 0.0
-            L[center, center] = 1.0
-        L = L.tocsr()
+        cols = np.arange(N ** d) if closure == "point" else np.array([center])
+        row = sp.csr_matrix((np.ones(cols.size), (np.full(cols.size, center), cols)),
+                            shape=L.shape)
+        L = sp.diags((np.arange(N ** d) != center).astype(float)) @ L + row
         rhs = np.array(fhat, dtype=complex)
         rhs[center] = point_value
         q = None

@@ -3,6 +3,7 @@
 Both discretizations are d-fold tensor products.  Arrays over the d-cube
 are flattened row-major, so axis 0 varies slowest and is the leftmost
 Kronecker factor; every module lifts its 1D pieces through this one.
+kron_sum_solver inverts a weighted sum of one block from one eigensolve.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ def kron(factors) -> sp.csr_matrix:
 
 
 def kron_sum(blocks) -> sp.csr_matrix:
-    """sum_j I x .. x blocks[j] x .. x I: one square block per axis, all of one size."""
-    d = len(blocks)
-    terms = [kron([b if a == j else None for a in range(d)]) for j, b in enumerate(blocks)]
-    return sum(terms[1:], terms[0])
+    """sum_j I x .. x blocks[j] x .. x I: one square block per axis, all of one size,
+    as a fold of sp.kronsum(b, S) = S x I + I x b, which keeps axis 0 leftmost."""
+    return reduce(lambda acc, b: sp.kronsum(b, acc, format="csr"), blocks[1:],
+                  sp.csr_matrix(blocks[0]))
 
 
 def kron_sum_apply(blocks, x) -> np.ndarray:
@@ -62,40 +63,38 @@ def _matmul_along(M, cube, axis: int) -> np.ndarray:
     return (M @ cube.reshape(math.prod(shape[:axis]), shape[axis], -1)).reshape(shape)
 
 
-def kron_sum_solver(blocks):
-    """The map x -> kron_sum(blocks)^-1 @ x, one axis at a time, never forming the sum.
+def kron_sum_solver(block, weights):
+    """The map x -> K^-1 @ x for K = kron_sum([w * block for w in weights]), never forming K.
 
-    One block is the whole sum and is factored by its own sparse LU.  For
-    d >= 2 each block is diagonalized, B_j = V_j diag(lam_j) V_j^-1: x is
+    One weight makes K the scaled block itself, factored by its sparse LU.
+    For d >= 2 the block is diagonalized once, B = V diag(lam) V^-1: x is
     carried into the eigenbasis along every axis, divided by the spectrum
-    axis_sum(lam), and carried back.  A sum that is singular to rounding
-    raises numpy.linalg.LinAlgError before anything is divided.  Real blocks
-    map real x to real results.
+    axis_sum(w_j lam), and carried back.  A sum that is singular to rounding
+    raises numpy.linalg.LinAlgError before anything is divided.  A real block
+    and real weights map real x to real results.
     """
-    if len(blocks) == 1:
-        block = sp.csc_matrix(blocks[0])
+    weights = np.asarray(weights)
+    d = weights.size
+    real = not (np.iscomplexobj(block.data) or np.iscomplexobj(weights))
+    if d == 1:
         try:
-            lu = spla.splu(block)
+            lu = spla.splu(sp.csc_matrix(weights[0] * block))
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(f"sparse factorization failed: {exc}") from exc
-        if np.iscomplexobj(block.data):
-            return lu.solve
         return lambda x: (lu.solve(x.real) + 1j * lu.solve(x.imag)
-                          if np.iscomplexobj(x) else lu.solve(x))
-    d = len(blocks)
-    eigs = [np.linalg.eig(b.toarray()) for b in blocks]
-    inverses = [np.linalg.inv(V) for _, V in eigs]
-    spectrum = axis_sum([lam for lam, _ in eigs], d)
+                          if real and np.iscomplexobj(x) else lu.solve(x))
+    lam, V = np.linalg.eig(block.toarray())
+    W = np.linalg.inv(V)
+    spectrum = axis_sum([w * lam for w in weights], d)
     if np.abs(spectrum).min() <= d * np.finfo(float).eps * np.abs(spectrum).max():
         raise np.linalg.LinAlgError("Kronecker sum is singular to rounding")
-    real = not any(np.iscomplexobj(b.data) for b in blocks)
 
     def solve(x):
         cube = np.reshape(x, spectrum.shape)
-        for j, W in enumerate(inverses):
+        for j in range(d):
             cube = _matmul_along(W, cube, j)
         cube = cube / spectrum
-        for j, (_, V) in enumerate(eigs):
+        for j in range(d):
             cube = _matmul_along(V, cube, j)
         out = cube.reshape(-1)
         return out.real if real and not np.iscomplexobj(x) else out

@@ -403,6 +403,24 @@ class TestErrorReport:
         with pytest.raises(ParameterError, match="folded exact"):
             error_report(solve(assemble(pd)), exact=lambda x: np.sin(x + h / 2))
 
+    @pytest.mark.parametrize("bc", ["periodic", "neumann"])
+    def test_constant_offsets_are_the_kernel(self, bc):
+        # u = cos(x + shift) solves u'' = -cos(x + shift); so does u + 2
+        n, k = 16, 3
+        shift = math.pi / n / 2 if bc == "neumann" else 0.0
+        p = FdmProblem(d=1, n=n, k=k, rhs_sampler=lambda x: -np.cos(x + shift), bc=bc)
+        field = solve(assemble(p))
+        exact = np.cos(math.pi * np.arange(2 * n) / n + shift)
+        exact = fold_vector(exact, bc) if bc == "neumann" else exact
+        want = error_report(field, exact=exact)
+        assert want["l2_rel"] < 1e-6
+        offset = [error_report(field, exact=exact + 2.0)]
+        if bc == "periodic":
+            offset.append(error_report(field, exact=lambda x: np.cos(x) + 2.0))
+        for rep in offset:
+            for key in want:
+                assert rep[key] == pytest.approx(want[key], rel=1e-6)
+
 
 class TestConvergence:
     def test_row_shape_and_smoke_anchor(self):

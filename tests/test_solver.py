@@ -118,6 +118,21 @@ def test_evaluate_at_two_dims_and_guards(rng):
         evaluate_at("chebyshev", c, n, 2, np.array([[0.3]]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda basis, v, n: analyze_values(basis, v, n, 2),
+    lambda basis, v, n: synthesize_nodes(basis, v, n, 2),
+    lambda basis, v, n: evaluate_at(basis, v, n, 2, np.zeros(2)),
+], ids=["analyze_values", "synthesize_nodes", "evaluate_at"])
+def test_axis_paths_reject_bad_sizes(call):
+    for basis in ("fourier", "chebyshev"):
+        with pytest.raises(ParameterError, match="values"):
+            call(basis, np.ones(24), 4)   # not (n+1)^d = 25
+    with pytest.raises(ParameterError, match="n >= 1"):
+        call("chebyshev", np.ones(1), 0)
+    with pytest.raises(ParameterError, match="basis"):
+        call("legendre", np.ones(25), 4)
+
+
 def test_error_metrics_hand_values():
     exact = np.array([3.0, 4.0])
     m = error_metrics(exact, exact)
@@ -260,6 +275,27 @@ class TestSolveOracles:
         system, _ = manufactured_problem("exp-sin", random_gdd(np.random.default_rng(3), 2),
                                          "chebyshev", 16)
         assert solve_system(system).residual <= 1e-12
+
+    def test_one_eigendecomposition_per_preconditioner(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(M.shape) or eig(M))
+        system, _ = manufactured_problem("exp-sin", random_gdd(np.random.default_rng(5), 3),
+                                         "chebyshev", 6)
+        assert solve_system(system).residual <= 1e-12
+        assert calls == [(7, 7)]
+
+    @pytest.mark.parametrize("closure", ["point", "pin"])
+    def test_one_axis_point_and_pin_rows_take_at_most_two_steps(self, closure):
+        rng = np.random.default_rng(7)
+        for n in (2, 5, 8, 16, 33):
+            for a in (1.0, -0.6):
+                fhat = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+                system = assemble_system(np.array([[a]]), "fourier", n, fhat, closure=closure,
+                                         point_value=rng.normal())
+                result = solve_system(system)
+                assert_certified(system, result)
+                assert result.iterations <= 2
 
     def test_unreachable_tolerance_raises(self):
         system, _ = manufactured_problem("exp-sin", np.array([[1.0, 0.3], [0.3, 1.0]]),

@@ -28,13 +28,16 @@ def test_fourier_second_is_square_of_first(n):
 
 
 def test_fourier_closure_row():
-    n = 4
-    Dc = diff_matrix("fourier", 2, n, with_boundary_rows=True).toarray()
-    m = n // 2
-    assert np.array_equal(Dc[m].real, np.ones(n + 1))
-    D2 = diff_matrix("fourier", 2, n).toarray()
-    keep = [r for r in range(n + 1) if r != m]
-    assert np.array_equal(Dc[keep], D2[keep])
+    # the closed row is every mode e^{i pi (k-m) x} evaluated at x = 0; the open one is empty
+    for n in range(2, 65):
+        m = n // 2
+        assert boundary_row_indices("fourier", n) == (m, m)
+        Dc = diff_matrix("fourier", 2, n, with_boundary_rows=True).toarray()
+        D2 = diff_matrix("fourier", 2, n).toarray()
+        assert np.array_equal(Dc[m], np.exp(1j * np.pi * (np.arange(n + 1) - m) * 0.0))
+        keep = [r for r in range(n + 1) if r != m]
+        assert np.array_equal(Dc[keep], D2[keep])
+        assert not D2[m].any()
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 11])
@@ -80,14 +83,14 @@ def test_chebyshev_entries_match_formula_loops(n):
 
 
 def test_chebyshev_closure_rows():
-    n = 5
-    Dc = diff_matrix("chebyshev", 2, n, with_boundary_rows=True).toarray()
-    assert np.array_equal(Dc[n], np.ones(n + 1))
-    assert np.array_equal(Dc[n - 1], (-1.0) ** np.arange(n + 1))
-    open_rows = diff_matrix("chebyshev", 2, n).toarray()
-    assert np.array_equal(Dc[: n - 1], open_rows[: n - 1])
-    # the two replaced rows were identically zero before closure
-    assert np.array_equal(open_rows[n - 1 :], np.zeros((2, n + 1)))
+    # the closed rows are T_k(+1) and T_k(-1); the open ones are empty
+    for n in range(2, 65):
+        faces = list(boundary_row_indices("chebyshev", n))
+        Dc = diff_matrix("chebyshev", 2, n, with_boundary_rows=True).toarray()
+        open_rows = diff_matrix("chebyshev", 2, n).toarray()
+        assert np.array_equal(Dc[faces], cheb.chebvander([1.0, -1.0], n))
+        assert np.array_equal(Dc[: n - 1], open_rows[: n - 1])
+        assert not open_rows[faces].any()
 
 
 def test_boundary_row_indices():

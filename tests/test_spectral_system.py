@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -217,6 +218,21 @@ def test_point_and_pin_closures():
         assemble_system(np.eye(1), "chebyshev", n, fhat, closure="point")
     with pytest.raises(ParameterError):
         assemble_system(np.eye(1), "fourier", n, fhat, closure="corner")
+
+
+def test_closed_blocks_and_point_rows_build_without_lil(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lil format used")
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.dia_matrix):
+        monkeypatch.setattr(cls, "tolil", refuse)
+    monkeypatch.setattr(sp, "lil_matrix", refuse)
+    monkeypatch.setattr(sp, "lil_array", refuse)
+    for basis in ("fourier", "chebyshev"):
+        assert diff_matrix(basis, 2, 6, with_boundary_rows=True).nnz > 0
+    for closure in ("point", "pin"):
+        for d in (1, 2):
+            system = assemble_system(np.eye(d), "fourier", 4, np.ones(5 ** d), closure=closure)
+            assert system.L.shape == (5 ** d, 5 ** d)
 
 
 def test_assembly_guards():

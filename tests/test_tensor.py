@@ -182,27 +182,27 @@ def test_kron_sum_apply_matches_kron_sum(d, size, sparse, seed):
 @BOUNDED
 @given(st.integers(1, 3), st.integers(1, 6), st.booleans(), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
-def test_kron_sum_solver_matches_sparse_solve(d, size, complex_blocks, complex_x, seed):
-    # shifted blocks keep every sum of eigenvalues away from zero
+def test_kron_sum_solver_matches_sparse_solve(d, size, complex_block, complex_x, seed):
+    # a shifted block and weights of one sign keep every eigenvalue sum away from zero
     rng = np.random.default_rng(seed)
     shape = (size, size)
-    blocks = [rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_blocks else 0)
-              + 3 * size * np.eye(size) for _ in range(d)]
-    blocks = [sp.csr_matrix(b) for b in blocks]
+    block = sp.csr_matrix(rng.normal(size=shape) + 3 * size * np.eye(size)
+                          + (1j * rng.normal(size=shape) if complex_block else 0))
+    weights = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0, size=d)
     x = rng.normal(size=size ** d) + (1j * rng.normal(size=size ** d) if complex_x else 0)
-    want = spla.spsolve(kron_sum(blocks).tocsc(), x)
-    got = kron_sum_solver(blocks)(x)
-    assert np.iscomplexobj(got) == (complex_blocks or complex_x)
+    want = spla.spsolve(kron_sum([w * block for w in weights]).tocsc(), x)
+    got = kron_sum_solver(block, weights)(x)
+    assert np.iscomplexobj(got) == (complex_block or complex_x)
     assert np.allclose(got, want, rtol=0, atol=1e-12 * np.linalg.norm(want))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_kron_sum_solver_refuses_a_singular_sum(d):
-    # B, -B (and a zero block): the eigenvalue sums lam_i - lam_i vanish; B - B alone
+    # weights 1, -1 (and 0): the eigenvalue sums lam_i - lam_i vanish; 0 B alone
     B = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))
-    blocks = [[B - B], [B, -B], [B, -B, sp.csr_matrix((2, 2))]][d - 1]
+    weights = [[0.0], [1.0, -1.0], [1.0, -1.0, 0.0]][d - 1]
     with pytest.raises(np.linalg.LinAlgError):
-        kron_sum_solver(blocks)
+        kron_sum_solver(B, weights)
 
 
 @BOUNDED
