@@ -29,6 +29,9 @@ from .spectral_system import (assemble_system, certified_truncation_order,
                               choose_truncation, condition_report, min_eig_sum)
 
 SUITES = tuple(suites.SUITES)
+# condition-report entries written to a spectral solve's metadata.json, as (key, name)
+REPORT_KEYS = (("min_eig_sum", "min_eig_sum"), ("kappa", "kappa"),
+               ("method", "kappa_method"), ("lu_nnz", "kappa_lu_nnz"))
 
 EXAMPLES = {
     "poisson-2d-cheb": {
@@ -230,11 +233,12 @@ def _solve_spectral(spec, outdir, fmt) -> int:
     meta["residual"] = result.residual
     meta["iterations"] = result.iterations
     meta["q"] = system.q
-    meta["min_eig_sum"] = min_eig_sum(system)
     try:
-        meta["kappa"] = condition_report(system)["kappa"]
+        report = condition_report(system)
     except BudgetExceeded:
-        pass  # too large for the dense report; metadata carries no kappa
+        # too large for the report: metadata carries the indicator, no kappa
+        report = {"min_eig_sum": min_eig_sum(system)}
+    meta.update({name: report[key] for key, name in REPORT_KEYS if key in report})
     meta["gdd"] = system.gdd
 
     _write_solution(outdir, fmt, basis, n, d, values, meta)

@@ -280,8 +280,9 @@ def convergence_study(expr, A, basis: str, n_values, closure: str = "axes",
     """Sweep truncation orders; one row per n with the study's CSV schema.
 
     Columns: basis, d, n, raw_l2, normalized_l2, kappa, q, residual,
-    runtime_ms.  kappa costs a dense SVD per n and is skipped (NaN) unless
-    requested; a requested kappa above DENSE_LIMIT rows raises BudgetExceeded.
+    runtime_ms.  kappa costs a condition report (Lanczos and one sparse LU)
+    per n and is skipped (NaN) unless requested; a requested kappa above
+    DENSE_LIMIT rows raises BudgetExceeded.
     """
     rows = []
     for n in n_values:

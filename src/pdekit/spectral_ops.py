@@ -38,14 +38,16 @@ __all__ = [
 BASES = ("fourier", "chebyshev")
 SYSTEM_BUDGET = 1 << 17  # max rows of an assembled operator (storage is sparse)
 NNZ_BUDGET = 1 << 24  # max stored nonzeros of one assembled mixed term
-DENSE_LIMIT = 4096  # max rows of an operator factorized densely (SVD)
+DENSE_LIMIT = 4096  # max rows of an operator given a condition report (one sparse LU of it)
 
 
 def _cheb_pairs(n: int, offset: int):
     """(k, r, sigma_k) over r >= k + offset with k + r of offset's parity, row-major."""
-    k, r = np.triu_indices(n + 1, offset)
-    keep = (k + r) % 2 == offset % 2
-    k, r = k[keep], r[keep]
+    # row k holds r = k + offset, k + offset + 2, ..., up to n
+    counts = np.maximum((n - offset - np.arange(n + 1)) // 2 + 1, 0)
+    k = np.repeat(np.arange(n + 1), counts)
+    first = np.cumsum(counts) - counts
+    r = k + offset + 2 * (np.arange(k.size) - np.repeat(first, counts))
     return k, r, np.where(k == 0, 2.0, 1.0)
 
 

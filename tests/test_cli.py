@@ -172,10 +172,22 @@ class TestSolveSpectral:
                      "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         meta = json.loads((tmp_path / "metadata.json").read_text())
-        assert "kappa" not in meta
+        assert not {"kappa", "kappa_method", "kappa_lu_nnz"} & set(meta)
         assert meta["residual"] < 1e-10
-        # the near-singularity indicator needs no dense report
+        # the near-singularity indicator needs no condition report
         assert meta["min_eig_sum"] > 0.0
+
+    @pytest.mark.parametrize("limit", [4096, 16])
+    def test_one_near_singularity_indicator_per_solve(self, tmp_path, capsys, monkeypatch,
+                                                      limit):
+        # min_eig_sum's eigenvalue solve runs once, in the report or without it
+        monkeypatch.setattr(spectral_system, "DENSE_LIMIT", limit)
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(M.shape) or eigvals(M))
+        assert main(["solve", "--example", "poisson-2d-cheb", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert calls == [(17, 17)]
 
     def test_solver_and_iterations_recorded(self, tmp_path, capsys):
         spec = {"method": "spectral", "basis": "chebyshev", "d": 2, "n": 12,
@@ -192,6 +204,12 @@ class TestSolveSpectral:
         assert meta["residual"] <= 1e-12
         system, _ = manufactured_problem("exp-sin", np.array(spec["A"]), "chebyshev", 12)
         assert meta["min_eig_sum"] == spectral_system.min_eig_sum(system)
+        report = spectral_system.condition_report(system)
+        assert keys[keys.index("kappa"):keys.index("kappa") + 3] == [
+            "kappa", "kappa_method", "kappa_lu_nnz"]
+        assert meta["kappa"] == report["kappa"]
+        assert meta["kappa_method"] == "lanczos-splu"
+        assert meta["kappa_lu_nnz"] == report["lu_nnz"] >= system.L.nnz
 
     def test_singular_system_is_runtime_failure(self, tmp_path, capsys):
         spec = {"method": "spectral", "basis": "chebyshev", "d": 3,

@@ -2,15 +2,14 @@
 
 import contextlib
 import math
-from itertools import combinations
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from conftest import spectral_systems
 from pdekit.errors import ConvergenceFailure, ParameterError
 from pdekit.solver import (
     analyze_values,
@@ -198,38 +197,6 @@ def assert_matches_lu(system, result, c_lu, inv_norm):
     """The two solves differ by no more than ||L^-1|| ||L (c - c_lu)||."""
     gap = inv_norm * np.linalg.norm(system.L @ (result.coeffs - c_lu))
     assert np.linalg.norm(result.coeffs - c_lu) <= gap
-
-
-@st.composite
-def spectral_systems(draw):
-    """Random systems of both bases, d = 1..3 and n = 2..12 (8 at d = 3).
-
-    The seed draws all but the basis, so the sizes spread evenly: d, n, a
-    diagonal or GDD A with some off-diagonal pairs zeroed, negated or not;
-    the closure; boundary (or point) data or none.
-    """
-    basis = draw(st.sampled_from(["fourier", "chebyshev"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    d = int(rng.integers(1, 4))
-    n = int(rng.integers(2, 13 if d < 3 else 9))
-    A = random_gdd(rng, d) if rng.random() < 0.7 else np.diag(rng.uniform(0.5, 2.0, size=d))
-    for j1, j2 in combinations(range(d), 2):
-        if rng.random() < 0.3:
-            A[j1, j2] = A[j2, j1] = 0.0
-    A = A if rng.random() < 0.5 else -A
-    closure = "axes" if basis == "chebyshev" else rng.choice(["axes", "point", "pin"])
-    N = n + 1
-    fhat = rng.normal(size=N ** d) + 1j * rng.normal(size=N ** d)
-    with_data = rng.random() < 0.5
-    if closure != "axes":
-        return assemble_system(A, basis, n, fhat, closure=str(closure),
-                               point_value=rng.normal() if with_data else 0.0)
-    boundary = None
-    if with_data:
-        boundary = [(rng.normal(size=N ** (d - 1)),
-                     rng.normal(size=N ** (d - 1)) if basis == "chebyshev" else None)
-                    for _ in range(d)]
-    return assemble_system(A, basis, n, fhat, boundary=boundary)
 
 
 class TestSolveOracles:

@@ -82,6 +82,28 @@ def test_chebyshev_entries_match_formula_loops(n):
     assert np.array_equal(diff_matrix("chebyshev", 2, n).toarray(), want2)
 
 
+def test_chebyshev_blocks_match_the_full_triangle_enumeration(monkeypatch):
+    # the pairs of each parity, built by steps, against all (n+1)^2 triangle
+    # pairs filtered by parity: the open and closed blocks keep their storage
+    # bit for bit
+    def full_triangle(n, offset):
+        k, r = np.triu_indices(n + 1, offset)
+        keep = (k + r) % 2 == offset % 2
+        return k[keep], r[keep], np.where(k[keep] == 0, 2.0, 1.0)
+
+    sizes = [*range(2, 65), 1024]
+    blocks = [(order, n, closed) for n in sizes for order, closed in
+              [(1, False), (2, False), (2, True)]]
+    stepped = [diff_matrix("chebyshev", order, n, with_boundary_rows=closed)
+               for order, n, closed in blocks]
+    monkeypatch.setattr(spectral_ops, "_cheb_pairs", full_triangle)
+    for (order, n, closed), got in zip(blocks, stepped):
+        want = diff_matrix("chebyshev", order, n, with_boundary_rows=closed)
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (order, n, closed, field)
+
+
 def test_chebyshev_closure_rows():
     # the closed rows are T_k(+1) and T_k(-1); the open ones are empty
     for n in range(2, 65):

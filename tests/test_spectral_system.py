@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdekit.spectral_system as spectral_system
+from conftest import spectral_systems
 from pdekit.errors import BudgetExceeded, DegenerateRhs, ParameterError
 from pdekit.solver import solve_system
 from pdekit.spectral_ops import boundary_row_indices, diff_matrix, random_gdd
@@ -327,6 +328,67 @@ def test_condition_report_against_dense_svd():
     assert rep["kappa"] == pytest.approx(sv[0] / sv[-1], rel=1e-12)
     assert rep["bound_poisson"] == (2 * 4) ** 4
     assert rep["within_poisson"] is True
+
+
+def dense_singular_values(system):
+    return np.linalg.svd(system.L.toarray(), compute_uv=False)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(spectral_systems())
+def test_condition_report_matches_dense_svd_oracle(system):
+    rep = condition_report(system)
+    sv = dense_singular_values(system)
+    if sv[-1] < 1e-10 * sv[0]:
+        # the dense sigma_min is rounding there; both must still read out of bounds
+        kappa = sv[0] / sv[-1]
+        assert rep["within_poisson"] == (kappa <= rep["bound_poisson"])
+        assert rep["within_general"] == (kappa <= rep["bound_general"])
+        return
+    assert rep["sigma_max"] == pytest.approx(sv[0], rel=1e-10)
+    assert rep["sigma_min"] == pytest.approx(sv[-1], rel=1e-10)
+    assert rep["kappa"] == pytest.approx(sv[0] / sv[-1], rel=1e-10)
+
+
+@pytest.mark.parametrize("basis, n", [("fourier", 1), ("fourier", 2), ("chebyshev", 2)])
+def test_condition_report_of_the_smallest_systems(basis, n):
+    # two and three rows: ARPACK's complex Arnoldi needs three, the real form any size
+    system = assemble_system(np.diag([1.3]), basis, n, np.zeros(n + 1))
+    rep = condition_report(system)
+    sv = dense_singular_values(system)
+    assert rep["sigma_max"] == pytest.approx(sv[0], rel=1e-12)
+    assert rep["sigma_min"] == pytest.approx(sv[-1], rel=1e-12)
+    assert rep["kappa"] == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+
+
+def test_condition_report_repeats_bit_for_bit():
+    A = random_gdd(np.random.default_rng(11), 2)
+    for basis in ("fourier", "chebyshev"):
+        system = assemble_system(A, basis, 12, np.zeros(13 ** 2))
+        assert condition_report(system) == condition_report(system)
+
+
+def test_condition_report_of_an_exactly_singular_factor():
+    system = assemble_system(np.diag([1.0, 2.0]), "chebyshev", 5, np.zeros(36))
+    keep = np.ones(36)
+    keep[14] = 0.0
+    system.L = (sp.diags(keep) @ system.L).tocsr()
+    rep = condition_report(system)
+    assert rep["sigma_min"] == 0.0 and rep["kappa"] == math.inf and rep["lu_nnz"] is None
+    assert rep["sigma_max"] == pytest.approx(dense_singular_values(system)[0], rel=1e-12)
+    assert rep["within_poisson"] is False and rep["within_general"] is False
+
+
+def test_condition_report_needs_no_dense_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.svd called")
+    A = random_gdd(np.random.default_rng(2), 2)
+    system = assemble_system(A, "chebyshev", 16, np.zeros(17 ** 2))
+    want = dense_singular_values(system)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    rep = condition_report(system)
+    assert rep["kappa"] == pytest.approx(want[0] / want[-1], rel=1e-10)
+    assert rep["method"] == "lanczos-splu" and rep["lu_nnz"] >= system.L.nnz
 
 
 def test_condition_report_refuses_above_dense_limit(monkeypatch):
