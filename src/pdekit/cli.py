@@ -232,6 +232,8 @@ def _solve_spectral(spec, outdir, fmt) -> int:
     meta["solver"] = "gmres"
     meta["residual"] = result.residual
     meta["iterations"] = result.iterations
+    meta["preconditioner"] = result.preconditioner
+    meta["restarts"] = result.restarts
     meta["q"] = system.q
     try:
         report = condition_report(system)

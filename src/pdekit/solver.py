@@ -1,10 +1,13 @@
 """Solve assembled coefficient-space systems and move between spaces.
 
-solve_system runs right-preconditioned GMRES on the sparse L.  The
-preconditioner inverts the pure part of L, the weighted Kronecker sum of the
-closed 1D block B, one axis at a time from a single eigendecomposition of B
-(its sparse LU at d = 1); no global factorization is formed.  Every solve
-certifies its residual on L itself.
+solve_system runs right-preconditioned GMRES on the sparse L, a restarted
+GMRES of its own (Saad and Schultz 1986) with classical Gram-Schmidt done
+twice.  The preconditioner inverts the pure part of L, the weighted
+Kronecker sum of the closed 1D block B, one axis at a time: in closed form
+for the Fourier block, which is diagonal but for its closure row, and from
+a single eigendecomposition of the Chebyshev one (its sparse LU at d = 1);
+no global factorization is formed.  Every solve certifies its residual on
+L itself.
 
 Node conventions (per axis, N = n + 1 points):
   fourier    x_l = 2l/N - 1,            basis functions e^{i pi (k - m) x},
@@ -26,11 +29,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .errors import ConvergenceFailure, ParameterError
 from .expressions import builtin_expression
-from .spectral_ops import BASES, diff_matrix
+from .spectral_ops import BASES, boundary_row_indices, diff_matrix
 from .spectral_system import SpectralSystem, assemble_system, condition_report
 from .tensor import along, kron_sum_solver
 from .transforms import endpoint_weights, qct_apply, qsft_apply
@@ -136,12 +139,19 @@ def evaluate_at(basis: str, coeffs, n: int, d: int, points) -> np.ndarray:
 
 @dataclass
 class SolveResult:
-    """Coefficients plus the residual bookkeeping of one preconditioned GMRES solve."""
+    """Coefficients plus the residual bookkeeping of one preconditioned GMRES solve.
+
+    iterations counts GMRES steps over all cycles; restarts counts the cycles
+    after the first; preconditioner names how the pure part was inverted:
+    "fourier-closed-form", "eig" or, for one Chebyshev axis, "splu".
+    """
 
     system: SpectralSystem
     coeffs: np.ndarray
     residual: float
     iterations: int
+    preconditioner: str
+    restarts: int
 
     def node_values(self) -> np.ndarray:
         return synthesize_nodes(self.system.basis, self.coeffs,
@@ -156,35 +166,38 @@ def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
     """Right-preconditioned GMRES on the sparse L with a relative-residual certificate.
 
     The preconditioner is the inverse of the pure part K = kron_sum(A_jj B),
-    applied one axis at a time from one diagonalization of the closed block B
-    (tensor.kron_sum_solver; at d = 1 K is A_00 B and its sparse LU).  GMRES
-    starts from K^-1 b and restarts while its residual falls and stays above
-    GMRES_AIM * tol.  When L is K (diagonal A, "axes" closure) that takes at
-    most a step or two; mixed terms and the point/pin rows are corrections
-    GMRES absorbs, at any d.  The certificate ||L c - b|| / max(||b||, 1)
-    <= tol is computed on the sparse L, never through the preconditioner; a
-    solve that stops above tol, or whose K is singular, raises
-    ConvergenceFailure.
+    applied one axis at a time (tensor.kron_sum_solver): in closed form for
+    the Fourier block, which is diagonal but for its closure row; from one
+    eigendecomposition of the Chebyshev block, or its sparse LU at d = 1.
+    GMRES (_gmres_cycle) starts from K^-1 b and restarts from the true
+    residual while that falls and stays above GMRES_AIM * tol.  When L is K
+    (diagonal A, "axes" closure) that takes at most a step or two; mixed
+    terms and the point/pin rows are corrections GMRES absorbs, at any d.
+    The certificate ||L c - b|| / max(||b||, 1) <= tol is computed on the
+    sparse L, never through the preconditioner; a solve that stops above
+    tol, or whose K is singular, raises ConvergenceFailure.
     """
     L = system.L
     rhs = np.asarray(system.rhs)
     B = diff_matrix(system.basis, 2, system.n, with_boundary_rows=True)
+    if system.basis == "fourier":
+        method, row = "fourier-closed-form", boundary_row_indices("fourier", system.n)[0]
+    else:
+        method, row = ("splu" if system.d == 1 else "eig"), None
     try:
-        precond = kron_sum_solver(B, np.diag(system.A))
+        precond = kron_sum_solver(B, np.diag(system.A), row=row)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"the pure part of L cannot precondition: {exc}",
                                  residual=math.inf) from exc
-    dtype = np.result_type(L.dtype, rhs.dtype)
-    op = spla.LinearOperator(L.shape, matvec=lambda y: L @ precond(y), dtype=dtype)
     denom = max(float(np.linalg.norm(rhs)), 1.0)
     aim = GMRES_AIM * tol
-    steps = []
+    steps = cycles = 0
     c = precond(rhs)
     r = rhs - L @ c
     residual = float(np.linalg.norm(r)) / denom
     while residual > aim:
-        y, _ = spla.gmres(op, r, rtol=0.0, atol=aim * denom, restart=GMRES_RESTART,
-                          maxiter=1, callback=steps.append, callback_type="pr_norm")
+        y, k = _gmres_cycle(lambda v: L @ precond(v), r, aim * denom, GMRES_RESTART)
+        steps, cycles = steps + k, cycles + 1
         trial = c + precond(y)
         r_trial = rhs - L @ trial
         fell = float(np.linalg.norm(r_trial)) / denom
@@ -193,9 +206,70 @@ def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
         c, r, residual = trial, r_trial, fell
     if not np.isfinite(residual) or residual > tol:
         raise ConvergenceFailure(
-            f"GMRES residual {residual:.3e} stopped above {tol:.1e} after {len(steps)} steps",
+            f"GMRES residual {residual:.3e} stopped above {tol:.1e} after {steps} steps",
             residual=residual)
-    return SolveResult(system=system, coeffs=c, residual=residual, iterations=len(steps))
+    return SolveResult(system=system, coeffs=c, residual=residual, iterations=steps,
+                       preconditioner=method, restarts=max(cycles - 1, 0))
+
+
+def _gmres_cycle(apply, r: np.ndarray, atol: float, restart: int) -> tuple[np.ndarray, int]:
+    """One GMRES cycle for apply(y) = r from y = 0: the update y and the steps taken.
+
+    Arnoldi keeps the basis as the rows of one array and orthogonalizes each
+    new vector by classical Gram-Schmidt done twice, two block products
+    against the basis per pass, never copying the basis.  Givens rotations
+    keep the Hessenberg matrix triangular, so the last rotated entry of the
+    right-hand side is the residual norm of the least-squares problem.  The
+    cycle stops once that is at most atol, after restart (at most len(r))
+    steps, or on an exact breakdown (a new vector below eps of its norm before
+    the projection), as scipy's gmres does.
+    """
+    n = r.size
+    m = min(restart, n)
+    dtype = r.dtype
+    eps = np.finfo(dtype).eps
+    V = np.empty((m + 1, n), dtype=dtype)
+    R = np.zeros((m, m), dtype=dtype)
+    g = [float(np.linalg.norm(r))] + [0.0] * m
+    rotations = []
+    V[0] = r / g[0]
+    k = 0
+    while k < m:
+        w = apply(V[k])
+        basis = V[:k + 1]
+        before = np.linalg.norm(w)
+        h = (basis @ w.conj()).conj()
+        w -= h @ basis
+        again = (basis @ w.conj()).conj()
+        w -= again @ basis
+        column = (h + again).tolist()
+        after = float(np.linalg.norm(w))
+        breakdown = after <= eps * before
+        if not breakdown:
+            V[k + 1] = w / after
+        for i, (c, s) in enumerate(rotations):
+            column[i], column[i + 1] = (c * column[i] + s * column[i + 1],
+                                        -s.conjugate() * column[i] + c * column[i + 1])
+        c, s, column[k] = _givens(column[k], 0.0 if breakdown else after)
+        rotations.append((c, s))
+        R[:k + 1, k] = column[:k + 1]
+        g[k], g[k + 1] = c * g[k], -s.conjugate() * g[k]
+        k += 1
+        if abs(g[k]) <= atol or breakdown:
+            break
+    used = k - 1 if R[k - 1, k - 1] == 0 else k  # a last step that added nothing is left out
+    y = solve_triangular(R[:used, :used], np.array(g[:used], dtype=dtype), check_finite=False)
+    return y @ V[:used], k
+
+
+def _givens(f, g: float) -> tuple:
+    """(c, s, rho) with c real, [[c, s], [-conj(s), c]] @ [f, g] = [rho, 0], for g >= 0."""
+    if f == 0:
+        return 0.0, 1.0, g
+    size = abs(f)
+    norm = math.hypot(size, g)
+    phase = f / size
+    return size / norm, phase * g / norm, phase * norm
 
 
 def error_metrics(u_exact, u_approx) -> dict:

@@ -14,10 +14,10 @@ source coefficients f-hat fill every row that retains at least one interior
 axis and are dropped from rows whose axes are all closure indices (those
 rows are pure constraint rows).
 
-Mixed-derivative contributions are masked to zero on closure rows so the
-constraint equations stay exact.  For Fourier the mask is a no-op (the
-first-derivative matrix is diagonal with a zero at the center frequency);
-for Chebyshev it is load-bearing.
+Mixed-derivative contributions are dropped from closure rows so the
+constraint equations stay exact.  For Fourier at d = 2 that drops nothing
+(the first-derivative matrix is diagonal with a zero at the center
+frequency); at d = 3, and for Chebyshev, it is load-bearing.
 
 Closure variants for the periodic basis: "axes" (default, one mean-value row
 per axis, mirroring the Chebyshev structure), "point" (a single all-ones row
@@ -188,8 +188,8 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
     B = diff_matrix(basis, 2, n, with_boundary_rows=True)
     L = kron_sum([A[j, j] * B for j in range(d)])
     if mixed is not None:
-        # constraint rows must stay exact; zero the mixed action there
-        L = L + sp.diags((closed == 0).astype(float)) @ mixed
+        # constraint rows must stay exact; the mixed action enters interior rows only
+        L = L + _interior_rows(mixed, closed == 0)
 
     if closure in ("point", "pin"):
         _require_finite("point_value", point_value)
@@ -225,6 +225,25 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
         rhs_out = rhs
     return SpectralSystem(basis=basis, n=int(n), d=int(d), A=A, closure=closure,
                           L=L.tocsr(), rhs=rhs_out, gdd=gdd, q=q)
+
+
+def _interior_rows(mixed: sp.csr_matrix, keep) -> sp.csr_matrix:
+    """The rows of mixed where keep holds, the others emptied, stored as diag(keep) @ mixed.
+
+    That product lists each row's entries in reverse and computes each value
+    as 0 + 1 x, dropping zeros.  Doing the same here keeps L's storage order
+    and bits, which decide the rounding of every L @ c.
+    """
+    lengths = np.diff(mixed.indptr) * keep
+    indptr = np.zeros(lengths.size + 1, dtype=mixed.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    row = np.repeat(np.arange(lengths.size, dtype=indptr.dtype), lengths)
+    source = mixed.indptr[row + 1] - 1 - (np.arange(indptr[-1], dtype=indptr.dtype) - indptr[row])
+    one, zero = mixed.dtype.type(1), mixed.dtype.type(0)
+    rows = sp.csr_matrix((mixed.data[source] * one + zero, mixed.indices[source], indptr),
+                         shape=mixed.shape)
+    rows.eliminate_zeros()
+    return rows
 
 
 def state_prep_q(fhat, weighted_plus, weighted_minus=None):

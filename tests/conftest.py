@@ -1,6 +1,7 @@
-"""Shared test helpers: fixed-seed generators, a log-log slope fit, the
-dense periodic lattice Laplacian that the closed forms are checked against
-and a strategy of random assembled spectral systems."""
+"""Shared test helpers: fixed-seed generators, a log-log slope fit, a
+bit-for-bit CSR comparison, the dense periodic lattice Laplacian that the
+closed forms are checked against and a strategy of random assembled
+spectral systems."""
 
 from itertools import combinations
 
@@ -23,6 +24,14 @@ def fit_slope(xs, ys):
     """Least-squares slope of log(ys) against log(xs)."""
     return float(np.polyfit(np.log(np.asarray(xs, dtype=float)),
                             np.log(np.asarray(ys, dtype=float)), 1)[0])
+
+
+def assert_same_csr(got, want):
+    """Two CSR matrices store the same bits: shape, dtypes, indptr, indices and data."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def circulant(k, n):

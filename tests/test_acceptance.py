@@ -173,10 +173,12 @@ def test_c5b_poisson_kappa_chebyshev():
         else kappa_exceeds(r["system"].L, r["bound"])
         for r in flagged)
     ok = d1_ok and singular_ok and certified == len(flagged)
+    # the singular row's kappa is sigma_max over a rounding-level sigma_min: noise
+    nonsingular = [r for r in rows if (r["d"], r["n"]) != (3, 2)]
     detail = (f"d=1..3 n=2..8: kappa/(2n)^4 reaches "
-              f"{worst_poisson_margin(rows):.3e}; {certified}/{len(flagged)} "
-              f"violations certified (det L {'=' if singular_ok else '!='} 0 "
-              f"at d=3 n=2)")
+              f"{worst_poisson_margin(nonsingular):.3e} on the nonsingular rows and "
+              f"det L {'=' if singular_ok else '!='} 0 at d=3 n=2; "
+              f"{certified}/{len(flagged)} violations certified")
     record("C5b", "poisson kappa fourth-power bound (chebyshev)", ok, detail,
            time.perf_counter() - t0, 30.0, refuted=bool(flagged))
     assert d1_ok, detail

@@ -165,6 +165,9 @@ class TestSolveSpectral:
         path.write_text(json.dumps(spec))
         assert main(["solve", "--spec", str(path), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["preconditioner"] == "fourier-closed-form"
+        assert meta["iterations"] <= 2 and meta["restarts"] == 0
 
     def test_no_kappa_above_dense_limit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(spectral_system, "DENSE_LIMIT", 16)
@@ -201,6 +204,9 @@ class TestSolveSpectral:
         assert keys[keys.index("residual") - 1:keys.index("residual") + 2] == [
             "solver", "residual", "iterations"]
         assert meta["solver"] == "gmres" and meta["iterations"] > 1
+        assert keys[keys.index("iterations") + 1:keys.index("iterations") + 3] == [
+            "preconditioner", "restarts"]
+        assert meta["preconditioner"] == "eig" and meta["restarts"] == 0
         assert meta["residual"] <= 1e-12
         system, _ = manufactured_problem("exp-sin", np.array(spec["A"]), "chebyshev", 12)
         assert meta["min_eig_sum"] == spectral_system.min_eig_sum(system)

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
@@ -9,6 +10,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 
+import pdekit.solver as solver
 from conftest import spectral_systems
 from pdekit.errors import ConvergenceFailure, ParameterError
 from pdekit.solver import (
@@ -251,6 +253,14 @@ class TestSolveOracles:
                                          "chebyshev", 6)
         assert solve_system(system).residual <= 1e-12
         assert calls == [(7, 7)]
+        # the closed Fourier block is inverted in closed form: no eigendecomposition at all
+        for d in (1, 2, 3):
+            system, _ = manufactured_problem(
+                "exp-sin-pi", random_gdd(np.random.default_rng(5), d), "fourier", 6)
+            result = solve_system(system)
+            assert result.residual <= 1e-12
+            assert result.preconditioner == "fourier-closed-form"
+        assert calls == [(7, 7)]
 
     @pytest.mark.parametrize("closure", ["point", "pin"])
     def test_one_axis_point_and_pin_rows_take_at_most_two_steps(self, closure):
@@ -270,6 +280,59 @@ class TestSolveOracles:
         with pytest.raises(ConvergenceFailure, match="stopped above") as err:
             solve_system(system, tol=1e-20)
         assert 1e-20 < err.value.residual < 1e-12
+
+
+def scipy_cycle(apply, r, atol, restart):
+    """The cycle _gmres_cycle replaced: one restart cycle of scipy's gmres from zero."""
+    steps = []
+    op = spla.LinearOperator((r.size, r.size), matvec=apply, dtype=r.dtype)
+    y, _ = spla.gmres(op, r, rtol=0.0, atol=atol, restart=restart, maxiter=1,
+                      callback=steps.append, callback_type="pr_norm")
+    return y, len(steps)
+
+
+class TestGmresCycle:
+    """Our GMRES cycle against scipy's on the same right-preconditioned operator."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(spectral_systems())
+    def test_matches_scipy_gmres(self, system):
+        cycles = []
+        ours_cycle = solver._gmres_cycle
+
+        def recorded(*args):
+            cycles.append(args)
+            return ours_cycle(*args)
+        with mock.patch.object(solver, "_gmres_cycle", recorded):
+            ours = solve_system(system)
+        with mock.patch.object(solver, "_gmres_cycle", scipy_cycle):
+            theirs = solve_system(system)
+        assert_certified(system, ours)
+        assert_certified(system, theirs)
+        # restarts near the rounding floor follow the last bits; each cycle's steps agree
+        for apply, r, atol, restart in cycles:
+            y, steps = ours_cycle(apply, r, atol, restart)
+            y_scipy, steps_scipy = scipy_cycle(apply, r, atol, restart)
+            assert abs(steps - steps_scipy) <= 1
+            assert np.linalg.norm(r - apply(y)) <= 1.01 * np.linalg.norm(r - apply(y_scipy)) \
+                + 2 * atol
+
+    @pytest.mark.parametrize("basis, closure", [("chebyshev", "axes"), ("fourier", "axes"),
+                                                ("fourier", "point")])
+    def test_zero_rhs_takes_no_step(self, basis, closure):
+        system = assemble_system(np.array([[1.0, 0.2], [0.2, 1.5]]), basis, 8, np.zeros(81),
+                                 closure=closure)
+        result = solve_system(system)
+        assert (result.iterations, result.restarts, result.residual) == (0, 0, 0.0)
+        assert not result.coeffs.any()
+
+    def test_restarts_count_the_cycles_after_the_first(self):
+        system, _ = manufactured_problem("exp-sin", np.array([[1.0, 0.3], [0.3, 1.0]]),
+                                         "chebyshev", 24)
+        with mock.patch.object(solver, "GMRES_RESTART", 4):
+            result = solve_system(system)
+        assert_certified(system, result)
+        assert result.restarts >= (result.iterations - 1) // 4 > 0
 
 
 # measured anchors for the two smooth families (normalized l2 at the nodes);

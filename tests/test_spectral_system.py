@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdekit.spectral_system as spectral_system
-from conftest import spectral_systems
+from conftest import assert_same_csr, spectral_systems
 from pdekit.errors import BudgetExceeded, DegenerateRhs, ParameterError
 from pdekit.solver import solve_system
-from pdekit.spectral_ops import boundary_row_indices, diff_matrix, random_gdd
+from pdekit.spectral_ops import boundary_row_indices, diff_matrix, multi_diff, random_gdd
 from pdekit.spectral_system import (
     assemble_system,
     certified_truncation_order,
@@ -137,6 +137,64 @@ def test_assembled_operator_matches_dense_formula(basis, d, n, seed, data):
     assert np.allclose(system.L.toarray(), expected, atol=1e-13)
     assert system.size == N ** d
     assert system.gdd["accepted"] is True
+
+
+def fold_operator(A, basis, n, closure="axes"):
+    """L as the fold-based assembly built it, kept as assemble_system's oracle: the
+    pure part an sp.kronsum fold, the mixed terms masked by a diagonal product and
+    the point/pin row set by a second one."""
+    d, N = A.shape[0], n + 1
+    closed = np.isin(np.arange(N), boundary_row_indices(basis, n))
+    closed = sum(np.reshape(closed, [-1 if a == j else 1 for a in range(d)])
+                 for j in range(d)).reshape(-1)
+    mixed = None
+    for j1, j2 in combinations(range(d), 2):
+        w = A[j1, j2] + A[j2, j1]
+        if w != 0:
+            term = w * multi_diff([int(a in (j1, j2)) for a in range(d)], basis, n, d)
+            mixed = term if mixed is None else mixed + term
+    B = diff_matrix(basis, 2, n, with_boundary_rows=True)
+    blocks = [A[j, j] * B for j in range(d)]
+    L = reduce(lambda acc, b: sp.kronsum(b, acc, format="csr"), blocks[1:],
+               sp.csr_matrix(blocks[0]))
+    if mixed is not None:
+        L = L + sp.diags((closed == 0).astype(float)) @ mixed
+    if closure in ("point", "pin"):
+        center = np.ravel_multi_index([n // 2] * d, [N] * d)
+        cols = np.arange(N ** d) if closure == "point" else np.array([center])
+        row = sp.csr_matrix((np.ones(cols.size), (np.full(cols.size, center), cols)),
+                            shape=L.shape)
+        L = sp.diags((np.arange(N ** d) != center).astype(float)) @ L + row
+    return L.tocsr()
+
+
+def coefficient_draws(rng, d):
+    """The identity, a GDD matrix, a negated one and one with a mixed pair zeroed."""
+    zeroed = random_gdd(rng, d)
+    if d > 1:
+        zeroed[0, 1] = zeroed[1, 0] = 0.0
+    return [np.eye(d), random_gdd(rng, d), -random_gdd(rng, d), zeroed]
+
+
+@pytest.mark.parametrize("basis, closure", [("fourier", "axes"), ("fourier", "point"),
+                                            ("fourier", "pin"), ("chebyshev", "axes")])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_operator_stores_the_bits_of_the_fold_assembly(basis, closure, d):
+    # L's storage order and every value bit decide L @ c, so each residual and kappa
+    rng = np.random.default_rng(d)
+    for n in range(2, 13):
+        for A in coefficient_draws(rng, d):
+            system = assemble_system(A, basis, n, np.ones((n + 1) ** d), closure=closure)
+            assert_same_csr(system.L, fold_operator(A, basis, n, closure))
+
+
+@pytest.mark.parametrize("basis, d, n", [("chebyshev", 2, 32), ("chebyshev", 2, 48),
+                                         ("chebyshev", 3, 10), ("chebyshev", 3, 12),
+                                         ("fourier", 2, 64), ("fourier", 2, 96)])
+def test_operator_of_the_benchmark_sizes_stores_the_fold_bits(basis, d, n):
+    for A in coefficient_draws(np.random.default_rng(n), d):
+        system = assemble_system(A, basis, n, np.ones((n + 1) ** d))
+        assert_same_csr(system.L, fold_operator(A, basis, n))
 
 
 def test_rhs_layout_chebyshev():

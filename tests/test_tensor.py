@@ -12,7 +12,7 @@ import pytest
 import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdekit.errors import SymmetryViolation
@@ -26,7 +26,7 @@ from pdekit.tensor import axis_sum, kron, kron_sum, kron_sum_apply, kron_sum_sol
 from pdekit.transforms import (endpoint_weights, qct_matrix, qsft_apply, qsft_matrix,
                                sector_apply)
 
-from conftest import circulant
+from conftest import assert_same_csr, circulant
 
 BOUNDED = settings(derandomize=True, max_examples=40, deadline=None)
 BCS = ("dirichlet", "neumann", "dirichlet_alt")
@@ -194,6 +194,76 @@ def test_kron_sum_solver_matches_sparse_solve(d, size, complex_block, complex_x,
     got = kron_sum_solver(block, weights)(x)
     assert np.iscomplexobj(got) == (complex_block or complex_x)
     assert np.allclose(got, want, rtol=0, atol=1e-12 * np.linalg.norm(want))
+
+
+def kron_fold(factors):
+    """The sp.kron fold tensor.kron replaced: identities float, from a 1 x 1 identity."""
+    size = next(f.shape[0] for f in factors if f is not None)
+    eye = sp.identity(size, format="csr")
+    return reduce(lambda a, b: sp.kron(a, b, format="csr"),
+                  [eye if f is None else f for f in factors], sp.identity(1, format="csr"))
+
+
+def kron_sum_fold(blocks):
+    """The sp.kronsum fold tensor.kron_sum replaced: sp.kronsum(b, S) = S x I + I x b."""
+    return reduce(lambda acc, b: sp.kronsum(b, acc, format="csr"), blocks[1:],
+                  sp.csr_matrix(blocks[0]))
+
+
+@st.composite
+def square_blocks(draw, d):
+    """d blocks of one size: weighted closed blocks, or random sparse ones, real or
+    complex, with explicit and signed zeros among their values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        basis = draw(st.sampled_from(["fourier", "chebyshev"]))
+        B = diff_matrix(basis, 2, draw(st.integers(2, 12 if d < 4 else 5)),
+                        with_boundary_rows=True)
+        return [w * B for w in rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0, size=d)]
+    size = int(rng.integers(1, 8))
+    blocks = []
+    for _ in range(d):
+        stored = rng.random((size, size)) < rng.uniform(0.05, 1.0)
+        stored[0, -1] = True  # at least one stored entry
+        rows, cols = np.nonzero(stored)
+        values = [rng.normal(size=rows.size),
+                  rng.choice([-1.0, 0.0, -0.0, 1.0, 2.0], size=rows.size)][int(rng.integers(2))]
+        if rng.random() < 0.5:
+            values = values + 1j * rng.choice([-1.0, 0.0, -0.0, 0.5], size=rows.size)
+        blocks.append(sp.csr_matrix((values, (rows, cols)), shape=(size, size)))
+    return blocks
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.integers(1, 4).flatmap(square_blocks))
+@example([sp.csr_matrix(([complex(-0.0, v)], ([0], [0])), shape=(1, 1))
+          for v in (0.0, 0.0, 1.0)])  # the first sum is a -0 the fold drops, not carries
+@example([sp.csr_matrix(([complex(-0.0, v)], ([0], [0])), shape=(1, 1))
+          for v in (-1.0, 2.0)])  # lifting the first block turns its -0 real part into +0
+def test_kron_sum_stores_the_bits_of_the_kronsum_fold(blocks):
+    assert_same_csr(kron_sum(blocks), kron_sum_fold(blocks))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(square_blocks), st.data())
+def test_kron_stores_the_bits_of_the_kron_fold(blocks, data):
+    present = data.draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+    present[0] = True
+    factors = [b if keep else None for b, keep in zip(blocks, present)]
+    assert_same_csr(kron(factors), kron_fold(factors))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 40), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_fourier_closed_form_matches_sparse_solve(d, n, negative, seed):
+    # the closed Fourier block is diagonal but for row n // 2: no eigensolve, no LU
+    rng = np.random.default_rng(seed)
+    B = diff_matrix("fourier", 2, n, with_boundary_rows=True)
+    weights = (-1.0 if negative else 1.0) * rng.uniform(0.5, 2.0, size=d)
+    x = rng.normal(size=(n + 1) ** d) + 1j * rng.normal(size=(n + 1) ** d)
+    want = spla.spsolve(kron_sum([w * B for w in weights]).tocsc(), x)
+    got = kron_sum_solver(B, weights, row=n // 2)(x)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
