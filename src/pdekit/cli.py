@@ -247,29 +247,6 @@ def _solve_spectral(spec, outdir, fmt) -> int:
     return 0
 
 
-def _value_sampler(expr):
-    """Pointwise product evaluation on meshgrid arrays."""
-    def fn(*X):
-        out = 1.0
-        for j, f in enumerate(expr.factors):
-            out = out * f.value(X[j])
-        return out
-    return fn
-
-
-def _laplacian_sampler(expr):
-    """Pointwise Laplacian of a product expression on meshgrid arrays."""
-    def fn(*X):
-        total = 0.0
-        for j in range(len(expr.factors)):
-            term = 1.0
-            for a, f in enumerate(expr.factors):
-                term = term * (f.d2 if a == j else f.value)(X[a])
-            total = total + term
-        return total
-    return fn
-
-
 def _solve_fdm(spec, outdir, fmt) -> int:
     d = _integer(spec.get("d", 0), "d")
     if d < 1:
@@ -283,8 +260,13 @@ def _solve_fdm(spec, outdir, fmt) -> int:
         raise SpecError("fdm solves take solution in {'sin', 'cos', 'exp-sin'} "
                         "(families periodic on the lattice)")
     expr = builtin_expression(name, d)
-    sample_f = _laplacian_sampler(expr)
-    sample_u = _value_sampler(expr)
+
+    def sample_f(*X):
+        return expr.elliptic_image(np.eye(d), X)
+
+    def sample_u(*X):
+        return expr.value(X)
+
     k = _integer(spec.get("k", 1), "k")
     n = spec.get("n")
     if n == []:

@@ -96,7 +96,12 @@ def one_factor() -> Factor:
 
 
 class ProductExpression:
-    """u(x) = prod_j factor_j(x_j) over d axes."""
+    """u(x) = prod_j factor_j(x_j) over d axes.
+
+    Its evaluations take one coordinate array per axis: 1D lines span a
+    tensor grid, and arrays of any other shape (meshgrids) are evaluated
+    pointwise as given.
+    """
 
     def __init__(self, factors):
         self.factors = list(factors)
@@ -110,7 +115,10 @@ class ProductExpression:
     def _grids(self, grids):
         if len(grids) != self.d:
             raise ParameterError(f"expected {self.d} coordinate arrays, got {len(grids)}")
-        return np.meshgrid(*[np.asarray(g, dtype=float) for g in grids], indexing="ij")
+        arrays = [np.asarray(g, dtype=float) for g in grids]
+        if all(a.ndim == 1 for a in arrays):
+            return np.meshgrid(*arrays, indexing="ij")
+        return arrays
 
     def _eval(self, grids, which):
         """which maps axis -> 0, 1 or 2 (derivative order); absent axes use 0."""

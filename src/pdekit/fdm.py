@@ -145,8 +145,8 @@ def select_parameters(d: int, eps: float, deriv_bound: float, b: float = 0.5):
     """
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"need eps in (0,1), got {eps}")
-    if deriv_bound < 1.0:
-        raise ParameterError(f"need deriv_bound >= 1, got {deriv_bound}")
+    if not 1.0 <= deriv_bound < math.inf:
+        raise ParameterError(f"need a finite deriv_bound >= 1, got {deriv_bound}")
     if not 0.0 < b < 2.0 / 3.0:
         raise ParameterError(f"need b in (0, 2/3), got {b}")
     if d < 1:

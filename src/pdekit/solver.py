@@ -3,10 +3,11 @@
 solve_system runs right-preconditioned GMRES on the sparse L, a restarted
 GMRES of its own (Saad and Schultz 1986) with classical Gram-Schmidt done
 twice.  The preconditioner inverts the pure part of L, the weighted
-Kronecker sum of the closed 1D block B, one axis at a time: in closed form
-for the Fourier block, which is diagonal but for its closure row, and from
-a single eigendecomposition of the Chebyshev one (its sparse LU at d = 1);
-no global factorization is formed.  Every solve certifies its residual on
+Kronecker sum of the closed 1D block B the system stores, one axis at a
+time in the form tensor.kron_sum_solver reads off B: in closed form for the
+Fourier block, which is diagonal but for its closure row, and from a single
+eigendecomposition of the Chebyshev one (its sparse LU at d = 1); no global
+factorization is formed.  Every solve certifies its residual on
 L itself.
 
 Node conventions (per axis, N = n + 1 points):
@@ -33,7 +34,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import ConvergenceFailure, ParameterError
 from .expressions import builtin_expression
-from .spectral_ops import BASES, boundary_row_indices, diff_matrix
+from .spectral_ops import BASES
 from .spectral_system import SpectralSystem, assemble_system, condition_report
 from .tensor import along, kron_sum_solver
 from .transforms import endpoint_weights, qct_apply, qsft_apply
@@ -116,8 +117,8 @@ def evaluate_at(basis: str, coeffs, n: int, d: int, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != d:
         raise ParameterError(f"points have {pts.shape[1]} columns, expected {d}")
-    if np.any(np.abs(pts) > 1.0 + 1e-12):
-        raise ParameterError("evaluation points must lie in [-1, 1]^d")
+    if not np.all(np.abs(pts) <= 1.0 + 1e-12):
+        raise ParameterError("evaluation points must be finite and lie in [-1, 1]^d")
     N = n + 1
     basis_rows = []
     for j in range(d):
@@ -142,8 +143,9 @@ class SolveResult:
     """Coefficients plus the residual bookkeeping of one preconditioned GMRES solve.
 
     iterations counts GMRES steps over all cycles; restarts counts the cycles
-    after the first; preconditioner names how the pure part was inverted:
-    "fourier-closed-form", "eig" or, for one Chebyshev axis, "splu".
+    after the first; preconditioner names the form kron_sum_solver inverted
+    the pure part in: "fourier-closed-form", "eig" or, for one Chebyshev
+    axis, "splu".
     """
 
     system: SpectralSystem
@@ -166,8 +168,9 @@ def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
     """Right-preconditioned GMRES on the sparse L with a relative-residual certificate.
 
     The preconditioner is the inverse of the pure part K = kron_sum(A_jj B),
-    applied one axis at a time (tensor.kron_sum_solver): in closed form for
-    the Fourier block, which is diagonal but for its closure row; from one
+    B the system's closed block, applied one axis at a time in the form
+    tensor.kron_sum_solver reads off B and names: in closed form for the
+    Fourier block, which is diagonal but for its closure row; from one
     eigendecomposition of the Chebyshev block, or its sparse LU at d = 1.
     GMRES (_gmres_cycle) starts from K^-1 b and restarts from the true
     residual while that falls and stays above GMRES_AIM * tol.  When L is K
@@ -179,13 +182,8 @@ def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
     """
     L = system.L
     rhs = np.asarray(system.rhs)
-    B = diff_matrix(system.basis, 2, system.n, with_boundary_rows=True)
-    if system.basis == "fourier":
-        method, row = "fourier-closed-form", boundary_row_indices("fourier", system.n)[0]
-    else:
-        method, row = ("splu" if system.d == 1 else "eig"), None
     try:
-        precond = kron_sum_solver(B, np.diag(system.A), row=row)
+        precond, method = kron_sum_solver(system.block, np.diag(system.A))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"the pure part of L cannot precondition: {exc}",
                                  residual=math.inf) from exc

@@ -5,7 +5,8 @@ collocation basis, L = sum_j A_jj Dbar^(j) + sum_{j1 != j2} A_{j1,j2} D^(j1,j2)
 where Dbar^(j) places the closed second-derivative block B on axis j and the
 mixed terms place two first-derivative matrices.  The pure part is the
 Kronecker sum of the weighted blocks A_jj B.  B is diff_matrix(basis, 2, n,
-with_boundary_rows=True); basis and n determine it, so no system stores it.
+with_boundary_rows=True), built once per system and stored on it as block:
+the solver's preconditioner and min_eig_sum read it from there.
 
 Boundary data rides the closure rows: for Chebyshev, rows with k_j = n carry
 the +1 face of axis j and rows with k_j = n-1 the -1 face; for Fourier
@@ -59,8 +60,7 @@ def choose_truncation(g: float, g_prime: float, eps: float) -> int:
     finite-W guarantee it is usually quoted with does not actually hold (see
     certified_truncation_order for the version that does).
     """
-    if g <= 0 or eps <= 0 or eps >= 1:
-        raise ParameterError(f"need g > 0 and eps in (0,1), got g={g}, eps={eps}")
+    _require_rule_inputs(g, g_prime, eps)
     if g_prime < g:
         raise ParameterError(f"need g_prime >= g, got {g_prime} < {g}")
     omega = g_prime * (1.0 + eps) / (g * eps)
@@ -77,13 +77,19 @@ def certified_truncation_order(g: float, g_prime: float, eps: float, n_max: int 
     closed formula undershoots it at every finite ratio, so callers needing
     the certificate use this search instead.
     """
-    if g <= 0 or eps <= 0 or eps >= 1:
-        raise ParameterError(f"need g > 0 and eps in (0,1), got g={g}, eps={eps}")
+    _require_rule_inputs(g, g_prime, eps)
     target = math.log(g * eps / (1.0 + eps)) - math.log(g_prime)
     for n in range(2, n_max + 1):
         if n * (1.0 - math.log(2.0 * n)) <= target:
             return n
     raise ParameterError(f"no certificate below n_max={n_max}")
+
+
+def _require_rule_inputs(g: float, g_prime: float, eps: float) -> None:
+    """Reject NaN, infinite or nonpositive g and g', and eps outside (0, 1)."""
+    if not (0 < g < math.inf and 0 < g_prime < math.inf and 0 < eps < 1):
+        raise ParameterError(f"need finite g, g_prime > 0 and eps in (0,1), "
+                             f"got g={g}, g_prime={g_prime}, eps={eps}")
 
 
 def embed_boundary(basis: str, n: int, d: int, axis: int, side: str, coeffs) -> np.ndarray:
@@ -117,7 +123,7 @@ def embed_boundary(basis: str, n: int, d: int, axis: int, side: str, coeffs) -> 
 
 @dataclass
 class SpectralSystem:
-    """An assembled L c = b system plus the scalars the analysis tracks."""
+    """An assembled L c = b system, its closed 1D block B, and the scalars the analysis tracks."""
 
     basis: str
     n: int
@@ -125,6 +131,7 @@ class SpectralSystem:
     A: np.ndarray
     closure: str
     L: sp.csr_matrix
+    block: sp.csr_matrix
     rhs: np.ndarray
     gdd: dict
     q: float | None = None
@@ -189,7 +196,7 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
     L = kron_sum([A[j, j] * B for j in range(d)])
     if mixed is not None:
         # constraint rows must stay exact; the mixed action enters interior rows only
-        L = L + _interior_rows(mixed, closed == 0)
+        L = L + sp.diags((closed == 0).astype(float)) @ mixed
 
     if closure in ("point", "pin"):
         _require_finite("point_value", point_value)
@@ -224,26 +231,7 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
     else:
         rhs_out = rhs
     return SpectralSystem(basis=basis, n=int(n), d=int(d), A=A, closure=closure,
-                          L=L.tocsr(), rhs=rhs_out, gdd=gdd, q=q)
-
-
-def _interior_rows(mixed: sp.csr_matrix, keep) -> sp.csr_matrix:
-    """The rows of mixed where keep holds, the others emptied, stored as diag(keep) @ mixed.
-
-    That product lists each row's entries in reverse and computes each value
-    as 0 + 1 x, dropping zeros.  Doing the same here keeps L's storage order
-    and bits, which decide the rounding of every L @ c.
-    """
-    lengths = np.diff(mixed.indptr) * keep
-    indptr = np.zeros(lengths.size + 1, dtype=mixed.indptr.dtype)
-    np.cumsum(lengths, out=indptr[1:])
-    row = np.repeat(np.arange(lengths.size, dtype=indptr.dtype), lengths)
-    source = mixed.indptr[row + 1] - 1 - (np.arange(indptr[-1], dtype=indptr.dtype) - indptr[row])
-    one, zero = mixed.dtype.type(1), mixed.dtype.type(0)
-    rows = sp.csr_matrix((mixed.data[source] * one + zero, mixed.indices[source], indptr),
-                         shape=mixed.shape)
-    rows.eliminate_zeros()
-    return rows
+                          L=L.tocsr(), block=B, rhs=rhs_out, gdd=gdd, q=q)
 
 
 def state_prep_q(fhat, weighted_plus, weighted_minus=None):
@@ -275,14 +263,13 @@ def state_prep_q(fhat, weighted_plus, weighted_minus=None):
 
 
 def min_eig_sum(system) -> float:
-    """min |sum_j A_jj lam_j| over the eigenvalues lam of the closed block B.
+    """min |sum_j A_jj lam_j| over the eigenvalues lam of the system's closed block B.
 
     These sums are the eigenvalues of the pure part kron_sum(A_jj B), so a
     small value flags a nearly singular operator without assembling or
     factoring anything: one eigenvalue solve of B and an O(N^d) broadcast.
     """
-    B = diff_matrix(system.basis, 2, system.n, with_boundary_rows=True)
-    lam = np.linalg.eigvals(B.toarray())
+    lam = np.linalg.eigvals(system.block.toarray())
     d = system.d
     return float(np.abs(axis_sum([system.A[j, j] * lam for j in range(d)], d)).min())
 

@@ -5,7 +5,8 @@ are flattened row-major, so axis 0 varies slowest and is the leftmost
 Kronecker factor; every module lifts its 1D pieces through this one.
 kron_sum builds a Kronecker sum as CSR by index arithmetic on its blocks;
 kron_sum_solver inverts a weighted sum of one block from one
-diagonalization, in closed form when the block is diagonal but for one row.
+diagonalization, in a form it reads off the block and names: closed when
+the block is diagonal but for one row, a sparse LU for one axis, else eig.
 """
 
 from __future__ import annotations
@@ -143,30 +144,28 @@ def _matmul_along(M, cube, axis: int) -> np.ndarray:
     return (M @ cube.reshape(math.prod(shape[:axis]), shape[axis], -1)).reshape(shape)
 
 
-def kron_sum_solver(block, weights, row=None):
-    """The map x -> K^-1 @ x for K = kron_sum([w * block for w in weights]), never forming K.
+def kron_sum_solver(block, weights):
+    """The map x -> K^-1 @ x for K = kron_sum([w * block for w in weights]), and its form's name.
 
     The block is diagonalized once, B = V diag(lam) V^-1: x is carried into
     the eigenbasis along every axis, divided by the spectrum axis_sum(w_j lam),
-    and carried back.  row names the one row off which a block is diagonal
-    (the closed Fourier block): then lam is its diagonal and V = I + e_row
-    alpha^T, alpha_k = B[row, k] / (lam_k - lam_row) with alpha_row = 0, so
-    V^-1 = I - e_row alpha^T and each axis transform is one row update.
-    Otherwise one weight makes K the scaled block itself, factored by its
-    sparse LU, and d >= 2 takes one dense eigendecomposition.  A sum that is
-    singular to rounding raises numpy.linalg.LinAlgError before anything is
-    divided.  A real block and real weights map real x to real results.
+    and carried back.  The form is read off the block.  When every
+    off-diagonal entry lies in one row and no gap lam_k - lam_row, k != row,
+    is zero (the closed Fourier block, hence the name
+    "fourier-closed-form"), lam is the diagonal and V = I + e_row alpha^T,
+    alpha_k = B[row, k] / (lam_k - lam_row), so V^-1 = I - e_row alpha^T and
+    each axis transform is one row update.  Otherwise one weight makes K the
+    scaled block itself, factored by its sparse LU ("splu"), and more take
+    one dense eigendecomposition ("eig").  A sum that is singular to rounding
+    raises numpy.linalg.LinAlgError before anything is divided.  A real block
+    and real weights map real x to real results.
     """
     weights = np.asarray(weights)
     d = weights.size
     real = not (np.iscomplexobj(block.data) or np.iscomplexobj(weights))
-    if row is not None:
-        lam = block.diagonal()
-        top = block[row].toarray().ravel()
-        top[row] = 0
-        gap = lam - lam[row]
-        gap[row] = 1
-        alpha = top / gap
+    closed = _one_row_form(block)
+    if closed is not None:
+        form, (lam, alpha, row) = "fourier-closed-form", closed
         into = partial(_row_update, alpha, row, -1)
         back = partial(_row_update, alpha, row, 1)
     elif d == 1:
@@ -174,9 +173,10 @@ def kron_sum_solver(block, weights, row=None):
             lu = spla.splu(sp.csc_matrix(weights[0] * block))
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(f"sparse factorization failed: {exc}") from exc
-        return lambda x: (lu.solve(x.real) + 1j * lu.solve(x.imag)
-                          if real and np.iscomplexobj(x) else lu.solve(x))
+        return (lambda x: (lu.solve(x.real) + 1j * lu.solve(x.imag)
+                           if real and np.iscomplexobj(x) else lu.solve(x))), "splu"
     else:
+        form = "eig"
         lam, V = np.linalg.eig(block.toarray())
         into = partial(_matmul_along, np.linalg.inv(V))
         back = partial(_matmul_along, V)
@@ -193,7 +193,24 @@ def kron_sum_solver(block, weights, row=None):
             cube = back(cube, j)
         out = cube.reshape(-1)
         return out.real if real and not np.iscomplexobj(x) else out
-    return solve
+    return solve, form
+
+
+def _one_row_form(block):
+    """(lam, alpha, row) of a block diagonal but for one row and with no zero gap, else None."""
+    coo = sp.coo_matrix(block)
+    off = coo.row[(coo.row != coo.col) & (coo.data != 0)]
+    row = off[0] if off.size else 0
+    if (off != row).any():
+        return None
+    lam = block.diagonal()
+    top = sp.csr_matrix(block)[row].toarray().ravel()
+    top[row] = 0
+    gap = lam - lam[row]
+    gap[row] = 1
+    if not gap.all():
+        return None
+    return lam, top / gap, row
 
 
 def _row_update(alpha, row, sign, cube, axis: int) -> np.ndarray:

@@ -6,10 +6,12 @@ Everything drives main(argv) in process; artifacts land in tmp_path.
 import csv
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import pdekit.spectral_ops as spectral_ops
 import pdekit.spectral_system as spectral_system
 from pdekit.cli import EXAMPLES, SUITES, _write_solution, main
 from pdekit.golden import GOLDEN_NAMES, generate_golden
@@ -191,6 +193,27 @@ class TestSolveSpectral:
         assert main(["solve", "--example", "poisson-2d-cheb", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert calls == [(17, 17)]
+
+    @pytest.mark.parametrize("spec", [
+        {"method": "spectral", "basis": "chebyshev", "d": 2, "n": 16, "solution": "exp-sin"},
+        {"method": "spectral", "basis": "fourier", "d": 2, "n": 8,
+         "A": [[1.0, 0.2], [0.2, 1.5]], "solution": "exp-sin-pi"}])
+    def test_one_closed_block_per_solve(self, spec, tmp_path, capsys, monkeypatch):
+        # assembly builds B; the preconditioner and min_eig_sum read it off the system
+        calls = []
+        original = spectral_ops.diff_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("with_boundary_rows", False))
+            return original(*args, **kwargs)
+        for module in list(sys.modules.values()):
+            if getattr(module, "diff_matrix", None) is original:
+                monkeypatch.setattr(module, "diff_matrix", counted)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["solve", "--spec", str(path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert calls.count(True) == 1
 
     def test_solver_and_iterations_recorded(self, tmp_path, capsys):
         spec = {"method": "spectral", "basis": "chebyshev", "d": 2, "n": 12,

@@ -69,6 +69,23 @@ def test_elliptic_image_combines_terms(rng):
         expr.elliptic_image(np.eye(3), (gx, gy))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_meshgrid_arrays_are_evaluated_as_given(d, rng):
+    # lines span the tensor grid; the meshgrid of those lines gives the same bits
+    expr = builtin_expression("exp-sin", d)
+    A = np.diag(rng.uniform(0.5, 2.0, size=d))
+    lines = [rng.uniform(-1.0, 1.0, size=3 + j) for j in range(d)]
+    X = np.meshgrid(*lines, indexing="ij")
+    for evaluate in (expr.value, lambda g: expr.elliptic_image(A, g)):
+        on_lines, on_mesh = evaluate(lines), evaluate(X)
+        assert on_mesh.shape == tuple(3 + j for j in range(d))
+        assert on_lines.tobytes() == on_mesh.tobytes()
+    # points scattered off any grid are evaluated pointwise
+    pts = rng.uniform(-1.0, 1.0, size=(d, 7, 1))
+    want = np.prod([np.exp(np.sin(x)) for x in pts], axis=0)
+    assert np.allclose(expr.value(list(pts)), want, rtol=1e-15, atol=0)
+
+
 def test_boundary_trace_drops_an_axis():
     expr = ProductExpression([sin_factor(1.0), exp_sin_factor(1.0)])
     scale, rest = expr.boundary_trace(0, 1.0)

@@ -90,6 +90,12 @@ class TestSelectParameters:
         with pytest.raises(ParameterError):
             select_parameters(0, 1e-6, 1.0)
 
+    @pytest.mark.parametrize("eps, M", [(1e-6, math.nan), (1e-6, math.inf), (math.nan, 1.0)])
+    def test_rejects_non_finite_inputs(self, eps, M):
+        # a NaN bound used to pass every comparison and an infinite one stepped n to 2^26
+        with pytest.raises(ParameterError):
+            select_parameters(2, eps, M)
+
     # The advertised scaling is n ~ (log(1/eps))^p with p in [1.4, 1.8].
     # Measured over eps = 1e-2 .. 1e-12 the fitted exponent is 1.13: the
     # selector needs far smaller lattices than the window claims because

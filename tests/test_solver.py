@@ -119,6 +119,16 @@ def test_evaluate_at_two_dims_and_guards(rng):
         evaluate_at("chebyshev", c, n, 2, np.array([[0.3]]))
 
 
+@pytest.mark.parametrize("basis", ["fourier", "chebyshev"])
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+def test_evaluate_at_refuses_non_finite_points(basis, point):
+    # NaN fails every comparison, so a bounds test alone let it through as a NaN value
+    with pytest.raises(ParameterError, match="finite"):
+        evaluate_at(basis, np.ones(5), 4, 1, [[point]])
+    with pytest.raises(ParameterError, match="finite"):
+        evaluate_at(basis, np.ones(25), 4, 2, [[0.5, -0.5], [0.1, point]])
+
+
 @pytest.mark.parametrize("call", [
     lambda basis, v, n: analyze_values(basis, v, n, 2),
     lambda basis, v, n: synthesize_nodes(basis, v, n, 2),

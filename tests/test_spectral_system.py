@@ -67,6 +67,15 @@ def test_formula_order_undershoots_at_desk_scale():
     assert certified_truncation_order(1.0, 1.0, 1e-6) == 8
 
 
+@pytest.mark.parametrize("g, g_prime, eps", [
+    (math.nan, 1.0, 1e-6), (1.0, math.nan, 1e-6), (1.0, 1.0, math.nan),
+    (math.inf, 1.0, 1e-6), (1.0, math.inf, 1e-6), (1.0, -math.inf, 1e-6)])
+@pytest.mark.parametrize("rule", [choose_truncation, certified_truncation_order])
+def test_truncation_rules_refuse_non_finite_inputs(rule, g, g_prime, eps):
+    with pytest.raises(ParameterError, match="finite"):
+        rule(g, g_prime, eps)
+
+
 def test_certified_order_budget_guard():
     with pytest.raises(ParameterError):
         certified_truncation_order(1.0, 1e300, 1e-12, n_max=5)
@@ -492,6 +501,13 @@ def test_min_eig_sum_is_the_smallest_eigenvalue_of_the_pure_part(basis, n, d):
     B = diff_matrix(basis, 2, n, with_boundary_rows=True)
     pure = kron_sum([A[j, j] * B for j in range(d)]).toarray()
     assert min_eig_sum(system) == pytest.approx(np.abs(np.linalg.eigvals(pure)).min(), rel=1e-8)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(spectral_systems())
+def test_system_stores_the_closed_block_it_is_built_from(system):
+    want = diff_matrix(system.basis, 2, system.n, with_boundary_rows=True)
+    assert_same_csr(system.block, want)
 
 
 def test_condition_report_carries_min_eig_sum():

@@ -191,7 +191,7 @@ def test_kron_sum_solver_matches_sparse_solve(d, size, complex_block, complex_x,
     weights = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0, size=d)
     x = rng.normal(size=size ** d) + (1j * rng.normal(size=size ** d) if complex_x else 0)
     want = spla.spsolve(kron_sum([w * block for w in weights]).tocsc(), x)
-    got = kron_sum_solver(block, weights)(x)
+    got = kron_sum_solver(block, weights)[0](x)
     assert np.iscomplexobj(got) == (complex_block or complex_x)
     assert np.allclose(got, want, rtol=0, atol=1e-12 * np.linalg.norm(want))
 
@@ -262,17 +262,55 @@ def test_fourier_closed_form_matches_sparse_solve(d, n, negative, seed):
     weights = (-1.0 if negative else 1.0) * rng.uniform(0.5, 2.0, size=d)
     x = rng.normal(size=(n + 1) ** d) + 1j * rng.normal(size=(n + 1) ** d)
     want = spla.spsolve(kron_sum([w * B for w in weights]).tocsc(), x)
-    got = kron_sum_solver(B, weights, row=n // 2)(x)
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    solve, form = kron_sum_solver(B, weights)
+    assert form == "fourier-closed-form"
+    assert np.linalg.norm(solve(x) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 7), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_closed_form_is_read_off_a_one_row_block(d, size, complex_block, seed):
+    # diagonal but for one row, with distinct diagonal entries: no gap lam_k - lam_row is zero
+    rng = np.random.default_rng(seed)
+    row = rng.integers(size)
+    lam = rng.permutation(size) + rng.uniform(1.1, 1.9)
+    if complex_block:
+        lam = lam + 1j * rng.uniform(-0.5, 0.5, size)
+    entries = rng.normal(size=size) * (rng.random(size) < 0.8)
+    entries[row] = 0
+    dense = np.diag(lam)
+    dense[row] += entries
+    block = sp.csr_matrix(dense)
+    weights = rng.uniform(0.5, 2.0, size=d)
+    x = rng.normal(size=size ** d)
+    want = spla.spsolve(kron_sum([w * block for w in weights]).tocsc(), x)
+    solve, form = kron_sum_solver(block, weights)
+    assert form == "fourier-closed-form"
+    assert np.linalg.norm(solve(x) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_zero_gap_refuses_the_closed_form(d):
+    # lam_1 - lam_0 = 0: B is a Jordan block, which no row update diagonalizes, so one
+    # axis takes its sparse LU and more its (defective) eigendecomposition
+    B = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
+    if d == 1:
+        solve, form = kron_sum_solver(B, [1.5])
+        assert form == "splu"
+        assert np.allclose(B @ solve(np.array([1.0, 2.0])) * 1.5, [1.0, 2.0], rtol=0, atol=1e-15)
+    else:
+        assert kron_sum_solver(B, np.ones(d))[1] == "eig"
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_kron_sum_solver_refuses_a_singular_sum(d):
-    # weights 1, -1 (and 0): the eigenvalue sums lam_i - lam_i vanish; 0 B alone
-    B = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))
+    # weights 1, -1 (and 0): the eigenvalue sums lam_i - lam_i vanish; 0 B alone;
+    # a one-row block (closed form) and a two-row one (sparse LU or eig)
     weights = [[0.0], [1.0, -1.0], [1.0, -1.0, 0.0]][d - 1]
-    with pytest.raises(np.linalg.LinAlgError):
-        kron_sum_solver(B, weights)
+    for lower in (0.0, 1.0):
+        B = sp.csr_matrix(np.array([[2.0, 1.0], [lower, 3.0]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            kron_sum_solver(B, weights)
 
 
 @BOUNDED
