@@ -2,13 +2,11 @@
 
 solve_system runs right-preconditioned GMRES on the sparse L, a restarted
 GMRES of its own (Saad and Schultz 1986) with classical Gram-Schmidt done
-twice.  The preconditioner inverts the pure part of L, the weighted
-Kronecker sum of the closed 1D block B the system stores, one axis at a
-time in the form tensor.kron_sum_solver reads off B: in closed form for the
-Fourier block, which is diagonal but for its closure row, and from a single
-eigendecomposition of the Chebyshev one (its sparse LU at d = 1); no global
-factorization is formed.  Every solve certifies its residual on
-L itself.
+twice, from an inverse read off the closed 1D block B the system stores:
+L^-1 itself by substitution for the Fourier block, so GMRES takes no step,
+and for the Chebyshev one the inverse of L's pure part in the form
+tensor.kron_sum_solver names.  No global factorization is formed.  Every
+solve certifies its residual on L itself.
 
 Node conventions (per axis, N = n + 1 points):
   fourier    x_l = 2l/N - 1,            basis functions e^{i pi (k - m) x},
@@ -35,7 +33,8 @@ from scipy.linalg import solve_triangular
 from .errors import ConvergenceFailure, ParameterError
 from .expressions import builtin_expression
 from .spectral_ops import BASES
-from .spectral_system import SpectralSystem, assemble_system, condition_report
+from .spectral_system import (SpectralSystem, assemble_system, closure_levels,
+                              condition_report)
 from .tensor import along, kron_sum_solver
 from .transforms import endpoint_weights, qct_apply, qsft_apply
 
@@ -143,9 +142,8 @@ class SolveResult:
     """Coefficients plus the residual bookkeeping of one preconditioned GMRES solve.
 
     iterations counts GMRES steps over all cycles; restarts counts the cycles
-    after the first; preconditioner names the form kron_sum_solver inverted
-    the pure part in: "fourier-closed-form", "eig" or, for one Chebyshev
-    axis, "splu".
+    after the first; preconditioner names the inverse the solve starts from:
+    "substitution" (Fourier: 0 steps), else kron_sum_solver's "eig" or "splu".
     """
 
     system: SpectralSystem
@@ -167,26 +165,22 @@ GMRES_AIM = 1e-2     # GMRES aims this far below the certified tolerance
 def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
     """Right-preconditioned GMRES on the sparse L with a relative-residual certificate.
 
-    The preconditioner is the inverse of the pure part K = kron_sum(A_jj B),
-    B the system's closed block, applied one axis at a time in the form
-    tensor.kron_sum_solver reads off B and names: in closed form for the
-    Fourier block, which is diagonal but for its closure row; from one
-    eigendecomposition of the Chebyshev block, or its sparse LU at d = 1.
-    GMRES (_gmres_cycle) starts from K^-1 b and restarts from the true
-    residual while that falls and stays above GMRES_AIM * tol.  When L is K
-    (diagonal A, "axes" closure) that takes at most a step or two; mixed
-    terms and the point/pin rows are corrections GMRES absorbs, at any d.
-    The certificate ||L c - b|| / max(||b||, 1) <= tol is computed on the
-    sparse L, never through the preconditioner; a solve that stops above
-    tol, or whose K is singular, raises ConvergenceFailure.
+    The preconditioner M is read off the system's closed block B (_inverse).
+    GMRES (_gmres_cycle) starts from M b and restarts from the true residual
+    while that falls and stays above GMRES_AIM * tol.  A substitution lands
+    below that aim and takes no step.  When L is the pure part (diagonal A,
+    "axes" closure) M takes at most a step or two; mixed terms are
+    corrections GMRES absorbs, at any d.  The certificate
+    ||L c - b|| / max(||b||, 1) <= tol is computed on the sparse L, never
+    through M; a solve that stops above tol, or whose M is singular, raises
+    ConvergenceFailure.
     """
     L = system.L
     rhs = np.asarray(system.rhs)
     try:
-        precond, method = kron_sum_solver(system.block, np.diag(system.A))
+        precond, method = _inverse(system)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"the pure part of L cannot precondition: {exc}",
-                                 residual=math.inf) from exc
+        raise ConvergenceFailure(f"no preconditioner for L: {exc}", residual=math.inf) from exc
     denom = max(float(np.linalg.norm(rhs)), 1.0)
     aim = GMRES_AIM * tol
     steps = cycles = 0
@@ -208,6 +202,38 @@ def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
             residual=residual)
     return SolveResult(system=system, coeffs=c, residual=residual, iterations=steps,
                        preconditioner=method, restarts=max(cycles - 1, 0))
+
+
+def _inverse(system: SpectralSystem):
+    """The map x -> M x the solve starts from, and its name, read off the closed block B.
+
+    When every off-diagonal entry of B runs from a closure row to an open
+    column, every one of L runs from a row with more closure axes to a column
+    with fewer (such a basis has diagonal mixed terms; the point/pin row is
+    the top level's only row), and M is L^-1 by substitution: the rows with
+    no closure axis hold only their pivot, then sweep k = 1..d takes the CSR
+    rows with k closure axes, subtracts their action on the levels solved
+    and divides by the pivots, raising numpy.linalg.LinAlgError on a zero
+    one.  Otherwise kron_sum_solver inverts L's pure part.
+    """
+    B, L = system.block.tocoo(), system.L
+    closed = closure_levels(system.basis, system.n, 1)
+    off = (B.row != B.col) & (B.data != 0)
+    if not closed[B.row[off]].all() or closed[B.col[off]].any():
+        return kron_sum_solver(system.block, np.diag(system.A))
+    level = closure_levels(system.basis, system.n, system.d)
+    pivots = L.diagonal()
+    if np.abs(pivots).min() <= system.d * np.finfo(float).eps * np.abs(pivots).max():
+        raise np.linalg.LinAlgError("L is singular to rounding: a pivot is zero")
+    sweeps = [(rows, L[rows], pivots[rows])
+              for rows in (np.flatnonzero(level == k) for k in range(1, system.d + 1))]
+
+    def solve(b):
+        c = np.where(level == 0, b / pivots, 0)
+        for rows, part, diag in sweeps:
+            c[rows] = (b[rows] - part @ c) / diag  # the unsolved entries of c are still 0
+        return c
+    return solve, "substitution"
 
 
 def _gmres_cycle(apply, r: np.ndarray, atol: float, restart: int) -> tuple[np.ndarray, int]:

@@ -16,7 +16,8 @@ and row n-1 alternates (-1)^k (value at -1).
 Storage is sparse: the Fourier matrices are diagonal apart from one closure
 row, the Chebyshev ones keep the parity-structured triangle.  Closure rows
 enter as COO entries; the closed block is the one 1D object the spectral
-path lifts (tensor.kron_sum) and inverts (tensor.kron_sum_solver).
+path lifts (tensor.kron_sum) and reads its inverse off (solver.solve_system:
+substitution for the Fourier block, tensor.kron_sum_solver for Chebyshev).
 """
 
 from __future__ import annotations

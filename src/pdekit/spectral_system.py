@@ -6,7 +6,7 @@ where Dbar^(j) places the closed second-derivative block B on axis j and the
 mixed terms place two first-derivative matrices.  The pure part is the
 Kronecker sum of the weighted blocks A_jj B.  B is diff_matrix(basis, 2, n,
 with_boundary_rows=True), built once per system and stored on it as block:
-the solver's preconditioner and min_eig_sum read it from there.
+the solver reads its inverse off it, and min_eig_sum its spectrum.
 
 Boundary data rides the closure rows: for Chebyshev, rows with k_j = n carry
 the +1 face of axis j and rows with k_j = n-1 the -1 face; for Fourier
@@ -45,6 +45,7 @@ __all__ = [
     "embed_boundary",
     "SpectralSystem",
     "assemble_system",
+    "closure_levels",
     "state_prep_q",
     "min_eig_sum",
     "condition_report",
@@ -141,6 +142,11 @@ class SpectralSystem:
         return (self.n + 1) ** self.d
 
 
+def closure_levels(basis: str, n: int, d: int) -> np.ndarray:
+    """The number of closure axes of each row of a d-axis system, axis 0 slowest."""
+    return axis_sum(np.isin(np.arange(n + 1), boundary_row_indices(basis, n)), d).reshape(-1)
+
+
 def _require_finite(name: str, *arrays) -> None:
     if not all(np.isfinite(x).all() for x in arrays):
         raise ParameterError(f"{name} has non-finite entries")
@@ -180,8 +186,7 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
     if N ** d > SYSTEM_BUDGET:
         raise BudgetExceeded(f"operator of size {N ** d} exceeds budget")
 
-    # the number of closure axes of each row (axis 0 slowest)
-    closed = axis_sum(np.isin(np.arange(N), boundary_row_indices(basis, n)), d).reshape(-1)
+    closed = closure_levels(basis, n, d)
     # the mixed terms first: multi_diff checks NNZ_BUDGET before it builds
     mixed = None
     for j1 in range(d):

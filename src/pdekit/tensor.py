@@ -4,21 +4,21 @@ Both discretizations are d-fold tensor products.  Arrays over the d-cube
 are flattened row-major, so axis 0 varies slowest and is the leftmost
 Kronecker factor; every module lifts its 1D pieces through this one.
 kron_sum builds a Kronecker sum as CSR by index arithmetic on its blocks;
-kron_sum_solver inverts a weighted sum of one block from one
-diagonalization, in a form it reads off the block and names: closed when
-the block is diagonal but for one row, a sparse LU for one axis, else eig.
+kron_sum_solver inverts a weighted sum of one block in a form it names: the
+block's sparse LU for one axis, else one eigendecomposition of the block.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = ["along", "kron", "kron_sum", "kron_sum_apply", "kron_sum_solver", "axis_sum"]
+
+EIGENBASIS_LIMIT = 1e-6  # largest eps ||V||_1 ||V^-1||_1 the "eig" form of kron_sum_solver takes
 
 
 def along(x, axis: int, ndim: int) -> np.ndarray:
@@ -147,39 +147,31 @@ def _matmul_along(M, cube, axis: int) -> np.ndarray:
 def kron_sum_solver(block, weights):
     """The map x -> K^-1 @ x for K = kron_sum([w * block for w in weights]), and its form's name.
 
-    The block is diagonalized once, B = V diag(lam) V^-1: x is carried into
-    the eigenbasis along every axis, divided by the spectrum axis_sum(w_j lam),
-    and carried back.  The form is read off the block.  When every
-    off-diagonal entry lies in one row and no gap lam_k - lam_row, k != row,
-    is zero (the closed Fourier block, hence the name
-    "fourier-closed-form"), lam is the diagonal and V = I + e_row alpha^T,
-    alpha_k = B[row, k] / (lam_k - lam_row), so V^-1 = I - e_row alpha^T and
-    each axis transform is one row update.  Otherwise one weight makes K the
-    scaled block itself, factored by its sparse LU ("splu"), and more take
-    one dense eigendecomposition ("eig").  A sum that is singular to rounding
-    raises numpy.linalg.LinAlgError before anything is divided.  A real block
-    and real weights map real x to real results.
+    One weight makes K the scaled block itself, factored by its sparse LU
+    ("splu").  More take one dense eigendecomposition of the block,
+    B = V diag(lam) V^-1 ("eig"): x is carried into the eigenbasis along
+    every axis, divided by the spectrum axis_sum(w_j lam), and carried back.
+    An eigenbasis too ill-conditioned to carry x there and back,
+    eps ||V||_1 ||V^-1||_1 > EIGENBASIS_LIMIT (a defective block has one), or
+    a sum that is singular to rounding raises numpy.linalg.LinAlgError before
+    anything is divided.  A real block and real weights map real x to real
+    results.
     """
     weights = np.asarray(weights)
     d = weights.size
     real = not (np.iscomplexobj(block.data) or np.iscomplexobj(weights))
-    closed = _one_row_form(block)
-    if closed is not None:
-        form, (lam, alpha, row) = "fourier-closed-form", closed
-        into = partial(_row_update, alpha, row, -1)
-        back = partial(_row_update, alpha, row, 1)
-    elif d == 1:
+    if d == 1:
         try:
             lu = spla.splu(sp.csc_matrix(weights[0] * block))
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(f"sparse factorization failed: {exc}") from exc
         return (lambda x: (lu.solve(x.real) + 1j * lu.solve(x.imag)
                            if real and np.iscomplexobj(x) else lu.solve(x))), "splu"
-    else:
-        form = "eig"
-        lam, V = np.linalg.eig(block.toarray())
-        into = partial(_matmul_along, np.linalg.inv(V))
-        back = partial(_matmul_along, V)
+    lam, V = np.linalg.eig(block.toarray())
+    V_inv = np.linalg.inv(V)
+    drift = np.finfo(float).eps * np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1)
+    if drift > EIGENBASIS_LIMIT:
+        raise np.linalg.LinAlgError(f"eigenbasis is ill-conditioned: drift {drift:.1e}")
     spectrum = axis_sum([w * lam for w in weights], d)
     if np.abs(spectrum).min() <= d * np.finfo(float).eps * np.abs(spectrum).max():
         raise np.linalg.LinAlgError("Kronecker sum is singular to rounding")
@@ -187,38 +179,13 @@ def kron_sum_solver(block, weights):
     def solve(x):
         cube = np.array(np.reshape(x, spectrum.shape), dtype=np.result_type(x, spectrum))
         for j in range(d):
-            cube = into(cube, j)
+            cube = _matmul_along(V_inv, cube, j)
         cube /= spectrum
         for j in range(d):
-            cube = back(cube, j)
+            cube = _matmul_along(V, cube, j)
         out = cube.reshape(-1)
         return out.real if real and not np.iscomplexobj(x) else out
-    return solve, form
-
-
-def _one_row_form(block):
-    """(lam, alpha, row) of a block diagonal but for one row and with no zero gap, else None."""
-    coo = sp.coo_matrix(block)
-    off = coo.row[(coo.row != coo.col) & (coo.data != 0)]
-    row = off[0] if off.size else 0
-    if (off != row).any():
-        return None
-    lam = block.diagonal()
-    top = sp.csr_matrix(block)[row].toarray().ravel()
-    top[row] = 0
-    gap = lam - lam[row]
-    gap[row] = 1
-    if not gap.all():
-        return None
-    return lam, top / gap, row
-
-
-def _row_update(alpha, row, sign, cube, axis: int) -> np.ndarray:
-    """I + sign e_row alpha^T applied in place to every fibre of the cube along one axis."""
-    at = [slice(None)] * cube.ndim
-    at[axis] = row
-    cube[tuple(at)] += sign * np.tensordot(alpha, cube, axes=(0, axis))
-    return cube
+    return solve, "eig"
 
 
 def axis_sum(values, d: int) -> np.ndarray:

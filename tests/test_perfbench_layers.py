@@ -1,29 +1,37 @@
 """The benchmark's tracer wraps pdekit functions by name and reads fields off their results.
 
-perfbench/spans.py is loaded, not changed.  A renamed or deleted layer, or a
-renamed result field, would otherwise crash a traced run or leave its layer
-reading zero.
+perfbench/spans.py and workloads.py are loaded, not changed.  A renamed or
+deleted layer, or a renamed result field, would otherwise crash a traced run
+or leave its layer reading zero; a workload that stopped reaching a solver
+path would stop measuring it.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pdekit import fdm
+from pdekit.solver import solve_manufactured
 from pdekit.spectral_system import assemble_system
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    """perfbench/<name>.py as a module, registered first so its dataclasses resolve."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("spans")
 
 
 def test_traced_layers_resolve(spans):
@@ -48,3 +56,13 @@ def test_work_counts_read_real_results(spans):
     assert spans._work_counts("spectral_system.assemble_system", system, None) == {
         "spectral_system.L.nnz": system.L.nnz}
     assert lattice.matrix.nnz > 0 and system.L.nnz > 0
+
+
+def test_spectral_workload_takes_both_inverses():
+    # every Fourier class is solved by substitution, every Chebyshev one preconditioned by eig
+    workloads = load("workloads")
+    for problem in workloads.make_cycle("spectral-direct", 1, 0):
+        q = problem.params
+        result = solve_manufactured(q["expr"], q["A"], q["basis"], q["n"])["result"]
+        want = ("substitution", 0) if q["basis"] == "fourier" else ("eig", result.iterations)
+        assert (result.preconditioner, result.iterations) == want, problem.label

@@ -9,6 +9,7 @@ import numpy.polynomial.chebyshev as cheb
 import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdekit.solver as solver
 from conftest import spectral_systems
@@ -26,7 +27,7 @@ from pdekit.solver import (
     synthesize_nodes,
 )
 from pdekit.spectral_ops import random_gdd
-from pdekit.spectral_system import assemble_system
+from pdekit.spectral_system import assemble_system, closure_levels
 
 
 def test_node_sets():
@@ -244,8 +245,10 @@ class TestSolveOracles:
         for d in (1, 2, 3):
             system, _ = manufactured_problem(name, np.diag([1.5, 0.5, 1.0][:d]), basis, 8)
             assert solve_system(system).iterations <= 1
+        # GMRES absorbs the mixed terms of a Chebyshev L; a Fourier L is solved by substitution
         mixed, _ = manufactured_problem(name, np.array([[1.0, 0.3], [0.3, 1.0]]), basis, 16)
-        assert solve_system(mixed).iterations > 1
+        steps = solve_system(mixed).iterations
+        assert steps == 0 if basis == "fourier" else steps > 1
 
     def test_no_sparse_lu_above_one_axis(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -263,13 +266,13 @@ class TestSolveOracles:
                                          "chebyshev", 6)
         assert solve_system(system).residual <= 1e-12
         assert calls == [(7, 7)]
-        # the closed Fourier block is inverted in closed form: no eigendecomposition at all
+        # a Fourier L is solved by substitution: no eigendecomposition at all
         for d in (1, 2, 3):
             system, _ = manufactured_problem(
                 "exp-sin-pi", random_gdd(np.random.default_rng(5), d), "fourier", 6)
             result = solve_system(system)
             assert result.residual <= 1e-12
-            assert result.preconditioner == "fourier-closed-form"
+            assert (result.preconditioner, result.iterations) == ("substitution", 0)
         assert calls == [(7, 7)]
 
     @pytest.mark.parametrize("closure", ["point", "pin"])
@@ -290,6 +293,64 @@ class TestSolveOracles:
         with pytest.raises(ConvergenceFailure, match="stopped above") as err:
             solve_system(system, tol=1e-20)
         assert 1e-20 < err.value.residual < 1e-12
+
+
+@st.composite
+def fourier_systems(draw):
+    """Random Fourier systems: every closure, d = 1..3, real or complex A and data."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, [40, 20, 9][d - 1]))
+    closure = draw(st.sampled_from(["axes", "point", "pin"]))
+    A = random_gdd(rng, d) if draw(st.booleans()) else np.diag(rng.uniform(0.5, 2.0, size=d))
+    A = rng.choice([-1.0, 1.0]) * A
+    if draw(st.booleans()):
+        A = A + 1j * rng.uniform(-0.5, 0.5, size=(d, d))
+    size = (n + 1) ** d
+    fhat = rng.normal(size=size) + (1j * rng.normal(size=size) if draw(st.booleans()) else 0)
+    if closure != "axes":
+        return assemble_system(A, "fourier", n, fhat, closure=closure,
+                               point_value=rng.normal())
+    boundary = [(rng.normal(size=size // (n + 1)) + 1j * rng.normal(size=size // (n + 1)),
+                 None) for _ in range(d)]
+    return assemble_system(A, "fourier", n, fhat, boundary=boundary)
+
+
+class TestSubstitution:
+    """A Fourier L is lower triangular in closure-level order and solved by substitution."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(fourier_systems())
+    def test_matches_sparse_solve(self, system):
+        want = spla.spsolve(system.L.tocsc(), system.rhs)
+        result = solve_system(system)
+        assert (result.preconditioner, result.iterations, result.restarts) == (
+            "substitution", 0, 0)
+        assert_certified(system, result)
+        assert np.linalg.norm(result.coeffs - want) <= 1e-13 * np.linalg.norm(want)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(fourier_systems())
+    def test_off_diagonal_entries_run_down_the_closure_levels(self, system):
+        # a closure whose entries broke this order would leave the substitution inexact
+        L = system.L.tocoo()
+        level = closure_levels("fourier", system.n, system.d)
+        off = L.row != L.col
+        assert (level[L.row[off]] > level[L.col[off]]).all()
+
+    @pytest.mark.parametrize("closure", ["axes", "point", "pin"])
+    def test_a_zero_pivot_raises(self, closure):
+        # the row closed on axis 0 at frequency +-1 on axis 1 holds pi^2 * 1 - 1 * pi^2 = 0
+        system = assemble_system(np.diag([np.pi ** 2, 1.0]), "fourier", 8, np.ones(81),
+                                 closure=closure)
+        with pytest.raises(ConvergenceFailure, match="singular") as err:
+            solve_system(system)
+        assert err.value.residual == math.inf
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(spectral_systems().filter(lambda system: system.basis == "chebyshev"))
+    def test_no_chebyshev_system_takes_it(self, system):
+        assert solver._inverse(system)[1] == ("splu" if system.d == 1 else "eig")
 
 
 def scipy_cycle(apply, r, atol, restart):
