@@ -180,24 +180,14 @@ def test_kron_sum_apply_matches_kron_sum(d, size, sparse, seed):
 
 
 @BOUNDED
-@given(st.integers(1, 3), st.integers(1, 6), st.booleans(), st.booleans(), st.booleans(),
+@given(st.integers(1, 3), st.integers(1, 6), st.booleans(), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
-def test_kron_sum_solver_matches_sparse_solve(d, size, one_row, complex_block, complex_x, seed):
-    # a shifted block, or one diagonal but for one row with distinct diagonal entries, and
-    # weights of one sign keep every eigenvalue sum away from zero
+def test_kron_sum_solver_matches_sparse_solve(d, size, complex_block, complex_x, seed):
+    # a shifted block and weights of one sign keep every eigenvalue sum away from zero
     rng = np.random.default_rng(seed)
     shape = (size, size)
-    if one_row:
-        dense = np.diag(rng.permutation(size) + rng.uniform(1.1, 1.9)
-                        + (1j * rng.uniform(-0.5, 0.5, size) if complex_block else 0))
-        row = rng.integers(size)
-        entries = rng.normal(size=size) * (rng.random(size) < 0.8)
-        entries[row] = 0
-        dense[row] += entries
-    else:
-        dense = (rng.normal(size=shape) + 3 * size * np.eye(size)
-                 + (1j * rng.normal(size=shape) if complex_block else 0))
-    block = sp.csr_matrix(dense)
+    block = sp.csr_matrix(rng.normal(size=shape) + 3 * size * np.eye(size)
+                          + (1j * rng.normal(size=shape) if complex_block else 0))
     weights = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0, size=d)
     x = rng.normal(size=size ** d) + (1j * rng.normal(size=size ** d) if complex_x else 0)
     want = spla.spsolve(kron_sum([w * block for w in weights]).tocsc(), x)
@@ -206,6 +196,31 @@ def test_kron_sum_solver_matches_sparse_solve(d, size, one_row, complex_block, c
     assert form == ("splu" if d == 1 else "eig")
     assert np.iscomplexobj(got) == (complex_block or complex_x)
     assert np.allclose(got, want, rtol=0, atol=1e-12 * np.linalg.norm(want))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 7), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_closed_form_is_read_off_a_one_row_block(d, size, complex_block, seed):
+    # diagonal but for one row, with distinct diagonal entries: no gap lam_k - lam_row is
+    # zero. kron_sum_solver keeps no form of its own for such a block (the closed Fourier
+    # block is solved by substitution in the solver): one axis takes its sparse LU, more
+    # its eigendecomposition, and both match spsolve
+    rng = np.random.default_rng(seed)
+    row = rng.integers(size)
+    lam = rng.permutation(size) + rng.uniform(1.1, 1.9)
+    if complex_block:
+        lam = lam + 1j * rng.uniform(-0.5, 0.5, size)
+    entries = rng.normal(size=size) * (rng.random(size) < 0.8)
+    entries[row] = 0
+    dense = np.diag(lam)
+    dense[row] += entries
+    block = sp.csr_matrix(dense)
+    weights = rng.uniform(0.5, 2.0, size=d)
+    x = rng.normal(size=size ** d)
+    want = spla.spsolve(kron_sum([w * block for w in weights]).tocsc(), x)
+    solve, form = kron_sum_solver(block, weights)
+    assert form == ("splu" if d == 1 else "eig")
+    assert np.linalg.norm(solve(x) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def kron_fold(factors):
