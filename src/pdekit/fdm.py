@@ -5,8 +5,13 @@ boundary-restricted image under the reflection fold) on 2n points per axis
 of [0, 2pi)^d, h = pi/n.  Every system is solved by division in the
 operator's eigenbasis, never materializing L: the real FFT for
 periodic lattices, the DST-II (Dirichlet) and DCT-II (Neumann) for restricted
-ones.  Restricted residuals are taken by applying the 1D factor along each
-axis.  Conjugate gradient on the same operator stays as the cross-check.
+ones.  The periodic FFT runs numpy's 1D transforms axis by axis, each pass
+cut into slabs along an axis it does not transform and the slabs run on one
+thread per CPU, so it has the bits of np.fft.rfftn/irfftn.  Restricted
+residuals are taken by applying the 1D factor along each axis.  Conjugate
+gradient on the same operator stays as the cross-check.  The source and
+exact solution are sampled on read-only broadcast views of the coordinate
+lines, never on materialized meshgrids.
 
 Parameter selection follows the high-order accuracy estimate: the error of
 the order-2k scheme on a smooth solution is within
@@ -18,7 +23,10 @@ smallest value whose plugged-back bound clears the target.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +100,89 @@ class FdmSystem:
         return kron_sum_apply([self.matrix] * p.d, u)
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_pool_lock = threading.Lock()
+_pool = None
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The threads that run all slabs but the caller's own, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(_cpus() - 1, 1), thread_name_prefix="pdekit-fft")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child: the executor's threads stayed in the parent, so
+    work handed to it would wait forever; the child starts its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _fft_pass(fft, src: np.ndarray, dst: np.ndarray, axis: int, n: int) -> None:
+    """dst = fft(src, n, axis), cut into slabs along another axis.
+
+    One slab per CPU, never more than that axis has rows; the caller runs
+    the last slab and the pool the others.  numpy's FFT releases the GIL, and
+    each 1D transform is the same pocketfft call whatever slab holds it.  The
+    pass returns once every slab is done, and raises the first slab's error.
+    """
+    cut = 1 if axis == 0 else 0
+    count = min(_cpus(), dst.shape[cut]) if dst.ndim > 1 else 1
+    if count == 1:
+        fft(src, n, axis, out=dst)
+        return
+    edges = [dst.shape[cut] * i // count for i in range(count + 1)]
+
+    def slab(i):
+        rows = (slice(None),) * cut + (slice(edges[i], edges[i + 1]),)
+        fft(src[rows], n, axis, out=dst[rows])
+
+    futures = [_executor().submit(slab, i) for i in range(count - 1)]
+    try:
+        slab(count - 1)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _rfftn(x: np.ndarray) -> np.ndarray:
+    """np.fft.rfftn(x), bit for bit: the real FFT on the last axis, then the
+    complex FFT in place on the others, last to first, as numpy orders them."""
+    F = np.empty(x.shape[:-1] + (x.shape[-1] // 2 + 1,), dtype=complex)
+    _fft_pass(np.fft.rfft, x, F, x.ndim - 1, x.shape[-1])
+    for axis in range(x.ndim - 2, -1, -1):
+        _fft_pass(np.fft.fft, F, F, axis, x.shape[axis])
+    return F
+
+
+def _irfftn(X: np.ndarray, shape) -> np.ndarray:
+    """np.fft.irfftn(X, s=shape), bit for bit: the inverse complex FFT on
+    every axis but the last, first to last, then the inverse real FFT."""
+    if len(shape) > 1:
+        work = np.empty_like(X)
+        _fft_pass(np.fft.ifft, X, work, 0, shape[0])
+        for axis in range(1, len(shape) - 1):
+            _fft_pass(np.fft.ifft, work, work, axis, shape[axis])
+        X = work
+    out = np.empty(shape)
+    _fft_pass(np.fft.irfft, X, out, len(shape) - 1, shape[-1])
+    return out
+
+
 def _eigenbasis(system: FdmSystem):
     """(forward, inverse, lam): the transform pair that diagonalizes (1/h^2) L,
     between flat vectors and the frequency cube, and L's eigenvalues there.
@@ -100,15 +191,16 @@ def _eigenbasis(system: FdmSystem):
     the orthonormal DST-II takes the sector frequencies l = 1..n and the
     DCT-II l = 0..n-1, in eig_axis's order.  All of them run on numpy's
     FFT: importing scipy.fft pulls in scipy.special, about 0.1 s of start-up
-    on every lattice run.
+    on every lattice run.  The periodic pair (_rfftn, _irfftn) splits each
+    axis pass into slabs over the CPUs and keeps numpy's rfftn/irfftn bits.
     """
     p = system.problem
     lam = system.eig_axis / p.h ** 2
     if p.bc == "periodic":
-        shape, axes = [2 * p.n] * p.d, tuple(range(p.d))
+        shape = (2 * p.n,) * p.d
         half = sum(along(lam[:p.n + 1] if j == p.d - 1 else lam, j, p.d) for j in range(p.d))
-        return (lambda x: np.fft.rfftn(np.reshape(x, shape)),
-                lambda X: np.fft.irfftn(X, s=shape, axes=axes).reshape(-1), half)
+        return (lambda x: _rfftn(np.reshape(x, shape)),
+                lambda X: _irfftn(X, shape).reshape(-1), half)
 
     def sector(cube, inverse):
         for axis in range(p.d):
@@ -121,7 +213,9 @@ def _eigenbasis(system: FdmSystem):
 def _apply(basis, u: np.ndarray) -> np.ndarray:
     """(1/h^2) L u through the transform pair."""
     forward, inverse, lam = basis
-    return inverse(lam * forward(u))
+    F = forward(u)
+    F *= lam
+    return inverse(F)
 
 
 @dataclass
@@ -172,9 +266,16 @@ def select_parameters(d: int, eps: float, deriv_bound: float, b: float = 0.5):
 
 
 def periodic_grid(n: int, d: int):
-    """Per-axis meshgrid arrays of the 2n-point lattice x_j = pi j / n."""
+    """Per-axis meshgrid arrays of the 2n-point lattice x_j = pi j / n.
+
+    Each is a read-only broadcast view of its coordinate line with the
+    values and shape of np.meshgrid(..., indexing="ij"); no (2n)^d array is
+    stored, and writing into one raises ValueError.
+    """
     x = math.pi * np.arange(2 * n) / n
-    return np.meshgrid(*[x] * d, indexing="ij")
+    shape = (2 * n,) * d
+    return tuple(np.broadcast_to(line, shape)
+                 for line in np.meshgrid(*[x] * d, indexing="ij", sparse=True))
 
 
 def assemble(p: FdmProblem) -> FdmSystem:
@@ -221,9 +322,9 @@ def _divide(basis, b: np.ndarray) -> np.ndarray:
     forward, inverse, lam = basis
     F = forward(b)
     zero = np.abs(lam) < 1e-14 * np.abs(lam).max()
-    lam_safe = np.where(zero, 1.0, lam)
-    U = np.where(zero, 0.0, F / lam_safe)
-    return inverse(U)
+    np.divide(F, np.where(zero, 1.0, lam), out=F)
+    F[zero] = 0.0
+    return inverse(F)
 
 
 def _solve_restricted(system: FdmSystem) -> tuple:

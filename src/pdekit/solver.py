@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConvergenceFailure, ParameterError
 from .expressions import builtin_expression
@@ -282,6 +281,8 @@ def _gmres_cycle(apply, r: np.ndarray, atol: float, restart: int) -> tuple[np.nd
         if abs(g[k]) <= atol or breakdown:
             break
     used = k - 1 if R[k - 1, k - 1] == 0 else k  # a last step that added nothing is left out
+    from scipy.linalg import solve_triangular
+
     y = solve_triangular(R[:used, :used], np.array(g[:used], dtype=dtype), check_finite=False)
     return y @ V[:used], k
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import BudgetExceeded, DegenerateRhs, ParameterError
 from .spectral_ops import (BASES, DENSE_LIMIT, SYSTEM_BUDGET, boundary_row_indices, diff_matrix,
@@ -288,6 +287,8 @@ def _sigma_max(op) -> float:
     twice: ARPACK's real Lanczos takes any size, its complex Arnoldi needs at
     least three rows.
     """
+    import scipy.sparse.linalg as spla
+
     if np.issubdtype(op.dtype, np.complexfloating):
         m = op.shape[0]
 
@@ -317,6 +318,8 @@ def condition_report(system) -> dict:
     min_eig_sum is the near-singularity indicator of the pure part (see
     min_eig_sum).
     """
+    import scipy.sparse.linalg as spla
+
     L = system.L
     size = L.shape[0]
     if size > DENSE_LIMIT:

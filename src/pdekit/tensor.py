@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = ["along", "kron", "kron_sum", "kron_sum_apply", "kron_sum_solver", "axis_sum"]
 
@@ -157,6 +156,8 @@ def kron_sum_solver(block, weights):
     anything is divided.  A real block and real weights map real x to real
     results.
     """
+    import scipy.sparse.linalg as spla
+
     weights = np.asarray(weights)
     d = weights.size
     real = not (np.iscomplexobj(block.data) or np.iscomplexobj(weights))

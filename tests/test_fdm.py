@@ -7,6 +7,13 @@ envelopes) are checked against independently built matrices.
 
 import dataclasses
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,6 +136,17 @@ class TestGridAndAssembly:
         assert X.shape == Y.shape == (6, 6)
         assert np.allclose(X[:, 0], X[:, 5])
         assert np.allclose(Y[0, :], Y[5, :])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_periodic_grid_is_read_only_meshgrid(self, d):
+        x = math.pi * np.arange(10) / 5
+        grids = periodic_grid(5, d)
+        assert len(grids) == d
+        for got, want in zip(grids, np.meshgrid(*[x] * d, indexing="ij")):
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[(0,) * d] = 1.0
 
     def test_periodic_matvec_matches_dense_1d(self, rng):
         n, k = 8, 2
@@ -383,6 +401,83 @@ class TestFastPathOracles:
         with pytest.raises(ConvergenceFailure, match="eigenbasis division stopped") as err:
             solve(with_random_rhs(bc, 2, 16, 3, 0))
         assert 1e-20 < err.value.residual < 1e-12
+
+
+def solve_in_child(system, values, residual):
+    """Fork target: the child's solve must repeat the parent's bits."""
+    field = solve(system)
+    assert field.values.tobytes() == values and field.residual == residual
+
+
+MANY = (os.cpu_count() or 1) + 3   # more slabs than the host has CPUs
+
+
+@pytest.mark.filterwarnings("ignore:k=.*condition-number bands:UserWarning")
+class TestSlabFFT:
+    """The slab-split periodic FFT pair against numpy's rfftn/irfftn."""
+
+    @BOUNDED
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=3), st.sampled_from([1, MANY]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_pair_matches_numpy_bit_for_bit(self, shape, cpus, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape)
+        X = rng.normal(size=np.fft.rfftn(x).shape) + 1j * rng.normal(size=np.fft.rfftn(x).shape)
+        kept = X.copy()
+        with mock.patch.object(fdm, "_cpus", lambda: cpus):
+            F, y = fdm._rfftn(x), fdm._irfftn(X, tuple(shape))
+        assert np.array_equal(F, np.fft.rfftn(x))
+        assert np.array_equal(y, np.fft.irfftn(kept, s=shape, axes=tuple(range(len(shape)))))
+        assert np.array_equal(X, kept)
+
+    @BOUNDED
+    @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3, MANY]),
+           st.data())
+    def test_solve_bits_do_not_depend_on_cpus(self, d, seed, cpus, data):
+        n = data.draw(st.integers(2, (40, 24, 12)[d - 1]))
+        system = with_random_rhs("periodic", d, n, data.draw(st.integers(1, min(4, n - 1))), seed)
+        with mock.patch.object(fdm, "_cpus", lambda: 1):
+            one = solve(system)
+        with mock.patch.object(fdm, "_cpus", lambda: cpus):
+            split = solve(system)
+        assert split.values.tobytes() == one.values.tobytes()
+        assert split.residual == one.residual
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_solves(self, monkeypatch):
+        monkeypatch.setattr(fdm, "_cpus", lambda: 2)   # the parent's pool has a thread
+        system = with_random_rhs("periodic", 3, 12, 3, 7)
+        field = solve(system)
+        child = multiprocessing.get_context("fork").Process(
+            target=solve_in_child, args=(system, field.values.tobytes(), field.residual))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("forked child hung in its solve")
+        assert child.exitcode == 0
+
+    def test_slab_error_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(fdm, "_cpus", lambda: MANY)
+
+        def fft(a, n, axis, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("slab failed")
+            np.fft.fft(a, n, axis, out=out)
+
+        x = np.ones((MANY, 4), dtype=complex)
+        with pytest.raises(FloatingPointError, match="slab failed"):
+            fdm._fft_pass(fft, x, x, 1, 4)
+
+
+def test_import_loads_no_scipy_linalg():
+    code = ("import sys, pdekit; "
+            "print([m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])")
+    src = str(Path(fdm.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class TestErrorReport:
