@@ -7,11 +7,17 @@ operator's eigenbasis, never materializing L: the real FFT for
 periodic lattices, the DST-II (Dirichlet) and DCT-II (Neumann) for restricted
 ones.  The periodic FFT runs numpy's 1D transforms axis by axis, each pass
 cut into slabs along an axis it does not transform and the slabs run on one
-thread per CPU, so it has the bits of np.fft.rfftn/irfftn.  Restricted
-residuals are taken by applying the 1D factor along each axis.  Conjugate
-gradient on the same operator stays as the cross-check.  The source and
-exact solution are sampled on read-only broadcast views of the coordinate
-lines, never on materialized meshgrids.
+thread per CPU, so it has the bits of np.fft.rfftn/irfftn.  The periodic
+path's elementwise passes (the division, the multiply by the spectrum, the
+residual's subtraction, the error report's differences) run on the same
+threads in slabs of rows along the first axis, in place where the path owns
+the array: the kernel is read off the spectrum's zero frequency and the
+inverse transform runs in the solve's own frequency cube.  Norms, means and
+extremes are taken over whole arrays, so every output keeps the bits of
+whole-cube numpy.  Restricted residuals are taken by applying the 1D
+factor along each axis.  Conjugate gradient on the same operator stays as
+the cross-check.  The source and exact solution are sampled on read-only
+broadcast views of the coordinate lines, never on materialized meshgrids.
 
 Parameter selection follows the high-order accuracy estimate: the error of
 the order-2k scheme on a smooth solution is within
@@ -131,32 +137,42 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _fft_pass(fft, src: np.ndarray, dst: np.ndarray, axis: int, n: int) -> None:
-    """dst = fft(src, n, axis), cut into slabs along another axis.
+def _each_slab(work, rows: int, split: bool = True) -> None:
+    """work(lo, hi) on slabs of rows that cover 0..rows.
 
-    One slab per CPU, never more than that axis has rows; the caller runs
-    the last slab and the pool the others.  numpy's FFT releases the GIL, and
-    each 1D transform is the same pocketfft call whatever slab holds it.  The
-    pass returns once every slab is done, and raises the first slab's error.
+    One slab per CPU when split, never more slabs than rows; the caller runs
+    the last slab and the pool the others.  Returns once every slab is done,
+    and raises the first slab's error.
     """
-    cut = 1 if axis == 0 else 0
-    count = min(_cpus(), dst.shape[cut]) if dst.ndim > 1 else 1
-    if count == 1:
-        fft(src, n, axis, out=dst)
+    count = min(_cpus(), rows) if split else 1
+    if count <= 1:
+        work(0, rows)
         return
-    edges = [dst.shape[cut] * i // count for i in range(count + 1)]
-
-    def slab(i):
-        rows = (slice(None),) * cut + (slice(edges[i], edges[i + 1]),)
-        fft(src[rows], n, axis, out=dst[rows])
-
-    futures = [_executor().submit(slab, i) for i in range(count - 1)]
+    edges = [rows * i // count for i in range(count + 1)]
+    futures = [_executor().submit(work, edges[i], edges[i + 1]) for i in range(count - 1)]
     try:
-        slab(count - 1)
+        work(edges[-2], edges[-1])
     finally:
         wait(futures)
     for future in futures:
         future.result()
+
+
+def _fft_pass(fft, src: np.ndarray, dst: np.ndarray, axis: int, n: int) -> None:
+    """dst = fft(src, n, axis), cut into slabs along another axis.
+
+    numpy's FFT releases the GIL, and each 1D transform is the same
+    pocketfft call whatever slab holds it.
+    """
+    if dst.ndim == 1:
+        fft(src, n, axis, out=dst)
+        return
+    cut = 1 if axis == 0 else 0
+
+    def slab(lo, hi):
+        rows = (slice(None),) * cut + (slice(lo, hi),)
+        fft(src[rows], n, axis, out=dst[rows])
+    _each_slab(slab, dst.shape[cut])
 
 
 def _rfftn(x: np.ndarray) -> np.ndarray:
@@ -169,11 +185,13 @@ def _rfftn(x: np.ndarray) -> np.ndarray:
     return F
 
 
-def _irfftn(X: np.ndarray, shape) -> np.ndarray:
+def _irfftn(X: np.ndarray, shape, overwrite: bool = False) -> np.ndarray:
     """np.fft.irfftn(X, s=shape), bit for bit: the inverse complex FFT on
-    every axis but the last, first to last, then the inverse real FFT."""
+    every axis but the last, first to last, then the inverse real FFT.
+    With overwrite the complex passes run in place on X, which the caller
+    owns and no longer needs; else X is left as it was."""
     if len(shape) > 1:
-        work = np.empty_like(X)
+        work = X if overwrite else np.empty_like(X)
         _fft_pass(np.fft.ifft, X, work, 0, shape[0])
         for axis in range(1, len(shape) - 1):
             _fft_pass(np.fft.ifft, work, work, axis, shape[axis])
@@ -184,15 +202,19 @@ def _irfftn(X: np.ndarray, shape) -> np.ndarray:
 
 
 def _eigenbasis(system: FdmSystem):
-    """(forward, inverse, lam): the transform pair that diagonalizes (1/h^2) L,
-    between flat vectors and the frequency cube, and L's eigenvalues there.
+    """(forward, inverse, lam, split): the transform pair that diagonalizes
+    (1/h^2) L, between flat vectors and the frequency cube, L's eigenvalues
+    there, and whether elementwise passes over the cube run in slabs.
 
     The real FFT keeps the first n+1 of the 2n frequencies on the last axis;
     the orthonormal DST-II takes the sector frequencies l = 1..n and the
     DCT-II l = 0..n-1, in eig_axis's order.  All of them run on numpy's
     FFT: importing scipy.fft pulls in scipy.special, about 0.1 s of start-up
     on every lattice run.  The periodic pair (_rfftn, _irfftn) splits each
-    axis pass into slabs over the CPUs and keeps numpy's rfftn/irfftn bits.
+    axis pass into slabs over the CPUs and keeps numpy's rfftn/irfftn bits;
+    its inverse transforms in place on the frequency cube it is handed, which
+    every caller owns, and split holds wherever those passes split (d > 1).
+    lam is built once per basis: a solve or a CG run builds one basis.
     """
     p = system.problem
     lam = system.eig_axis / p.h ** 2
@@ -200,21 +222,24 @@ def _eigenbasis(system: FdmSystem):
         shape = (2 * p.n,) * p.d
         half = sum(along(lam[:p.n + 1] if j == p.d - 1 else lam, j, p.d) for j in range(p.d))
         return (lambda x: _rfftn(np.reshape(x, shape)),
-                lambda X: _irfftn(X, shape).reshape(-1), half)
+                lambda X: _irfftn(X, shape, overwrite=True).reshape(-1), half, p.d > 1)
 
     def sector(cube, inverse):
         for axis in range(p.d):
             cube = sector_apply(cube, p.bc, inverse=inverse, axis=axis)
         return cube
     return (lambda x: sector(np.reshape(x, [p.n] * p.d), False),
-            lambda X: sector(X, True).reshape(-1), axis_sum(lam, p.d))
+            lambda X: sector(X, True).reshape(-1), axis_sum(lam, p.d), False)
 
 
 def _apply(basis, u: np.ndarray) -> np.ndarray:
     """(1/h^2) L u through the transform pair."""
-    forward, inverse, lam = basis
+    forward, inverse, lam, split = basis
     F = forward(u)
-    F *= lam
+
+    def times(lo, hi):
+        np.multiply(F[lo:hi], lam[lo:hi], out=F[lo:hi])
+    _each_slab(times, F.shape[0], split)
     return inverse(F)
 
 
@@ -295,14 +320,19 @@ def assemble(p: FdmProblem) -> FdmSystem:
     f = np.asarray(p.rhs_sampler(*periodic_grid(p.n, p.d)), dtype=float)
     if f.shape != tuple([2 * p.n] * p.d):
         raise ParameterError(f"sampler returned shape {f.shape}, expected {(2 * p.n,) * p.d}")
-    if not np.isfinite(f).all():
-        raise ParameterError("sampler returned non-finite source values")
     if p.bc == "periodic":
+        # a finite norm vouches for every sample; a norm that is not finite
+        # (a NaN or inf sample, or finite ones that overflow) sends for the scan
+        norm = _norm(f)
+        if not math.isfinite(norm) and not np.isfinite(f).all():
+            raise ParameterError("sampler returned non-finite source values")
         mean = abs(f.mean()) * math.sqrt(f.size)
-        if mean > MEAN_RTOL * _norm(f):
+        if mean > MEAN_RTOL * norm:
             raise CompatibilityError(
                 f"periodic rhs has mean component {mean:.3e} > {MEAN_RTOL:.0e} * ||f||")
         return FdmSystem(problem=p, rhs=f.reshape(-1), eig_axis=lam)
+    if not np.isfinite(f).all():
+        raise ParameterError("sampler returned non-finite source values")
     restricted = restrict(s, p.n, p.bc)
     cube = f
     for axis in range(p.d):
@@ -318,12 +348,28 @@ def assemble(p: FdmProblem) -> FdmSystem:
 
 
 def _divide(basis, b: np.ndarray) -> np.ndarray:
-    """The solution of (1/h^2) L u = b with no component in L's kernel."""
-    forward, inverse, lam = basis
+    """The solution of (1/h^2) L u = b with no component in L's kernel.
+
+    The 1D spectra are exactly 0 at l = 0 and nowhere else, so L has a
+    kernel (periodic, Neumann) exactly when lam's entry (0, ..., 0) is 0,
+    and that entry is the kernel: every other entry of the frequency cube
+    is divided in place, and that one set to 0.
+    """
+    forward, inverse, lam, split = basis
     F = forward(b)
-    zero = np.abs(lam) < 1e-14 * np.abs(lam).max()
-    np.divide(F, np.where(zero, 1.0, lam), out=F)
-    F[zero] = 0.0
+    kernel = lam.flat[0] == 0
+
+    def divide(lo, hi):
+        if kernel and lo == 0:
+            # rows 1..hi, then row 0 but for the kernel entry
+            pieces = [(slice(1, hi),)] + [(0,) * a + (slice(1, None),) for a in range(1, F.ndim)]
+        else:
+            pieces = [(slice(lo, hi),)]
+        for piece in pieces:
+            np.divide(F[piece], lam[piece], out=F[piece])
+    _each_slab(divide, F.shape[0], split)
+    if kernel:
+        F[(0,) * F.ndim] = 0.0
     return inverse(F)
 
 
@@ -390,8 +436,15 @@ def _solve_cg(system: FdmSystem) -> tuple:
     if singular:
         rhs = rhs - rhs.mean()
 
+    matvec = system.matvec
+    if p.bc == "periodic":
+        basis = _eigenbasis(system)   # once, not once per matvec
+
+        def matvec(u):
+            return _apply(basis, u)
+
     def mv(u):
-        out = system.matvec(u)
+        out = matvec(u)
         return -(out - out.mean()) if singular else -out
 
     cap = int(10.0 * math.sqrt(kappa) * math.log(1.0 / CG_TOL)) + 50
@@ -440,8 +493,15 @@ def solve(system: FdmSystem, method: str = "auto") -> SolutionField:
             return SolutionField(problem=p, values=u, method="eigen", residual=res)
         basis = _eigenbasis(system)
         u = _divide(basis, system.rhs)
-        res = (_norm(_apply(basis, u) - (system.rhs - system.rhs.mean()))
-               / max(_norm(system.rhs), 1e-300))
+        # the residual A u - (f - mean f), subtracted in place into A u, slab by slab
+        shape, split = (2 * p.n,) * p.d, basis[-1]
+        f, mean = system.rhs.reshape(shape), system.rhs.mean()
+        r = _apply(basis, u).reshape(shape)
+
+        def subtract(lo, hi):
+            np.subtract(r[lo:hi], f[lo:hi] - mean, out=r[lo:hi])
+        _each_slab(subtract, shape[0], split)
+        res = _norm(r) / max(_norm(system.rhs), 1e-300)
         return SolutionField(problem=p, values=u, method="eigen", residual=res)
     if method != "cg":
         raise ParameterError(f"method must be auto, eigen or cg, got {method!r}")
@@ -455,7 +515,14 @@ def solve(system: FdmSystem, method: str = "auto") -> SolutionField:
 def error_report(s: SolutionField, exact=None) -> dict:
     """Raw relative l2, sup norm, and the unit-vector (normalized) error; for
     periodic and Neumann solves, which carry no constant-kernel component, the
-    exact field (array or callable) is compared after its mean is removed."""
+    exact field (array or callable) is compared after its mean is removed.
+
+    The exact values, passed or returned by the callable, are only read:
+    the report makes at most two arrays of their size, the centred values
+    (scaled in place later) and the difference.  On periodic lattices the
+    elementwise passes run in the FFT's slabs; the norms, the mean and the
+    extremes are taken whole, so every number keeps its bits.
+    """
     p = s.problem
     if exact is None:
         exact = p.exact_solution
@@ -464,20 +531,45 @@ def error_report(s: SolutionField, exact=None) -> dict:
     if callable(exact):
         if p.bc != "periodic":
             raise ParameterError("pass folded exact values directly for restricted systems")
-        ue = np.asarray(exact(*periodic_grid(p.n, p.d)), dtype=float).reshape(-1)
-    else:
-        ue = np.asarray(exact, dtype=float).reshape(-1)
-    if p.bc in ("periodic", "neumann"):
-        ue = ue - ue.mean()
+        exact = exact(*periodic_grid(p.n, p.d))
+    ue = np.asarray(exact, dtype=float).reshape(-1)
+    del exact   # a sampled field is freed once its centred copy replaces ue
+    values = s.values
+    split = p.bc == "periodic" and p.d > 1 and ue.shape == values.shape
+    row = values.size // (2 * p.n)
+
+    def each(work):
+        """work(chunk) over the flat chunks that are the cube's row slabs."""
+        if split:
+            _each_slab(lambda lo, hi: work(slice(lo * row, hi * row)), 2 * p.n)
+        else:
+            work(slice(None))
+
+    centre = p.bc in ("periodic", "neumann")
+    if centre:
+        mean, centred = ue.mean(), np.empty_like(ue)
+        each(lambda c: np.subtract(ue[c], mean, out=centred[c]))
+        ue = centred
     nb = _norm(ue)
     if nb == 0.0:
         raise ParameterError("exact solution is identically zero; errors undefined")
-    diff = s.values - ue
-    na = _norm(s.values)
+    diff = np.empty(np.broadcast_shapes(values.shape, ue.shape))
+    each(lambda c: np.subtract(values[c], ue[c], out=diff[c]))
+    l2_rel, linf = _norm(diff) / nb, float(abs(max(diff.max(), -diff.min())))
+    na = _norm(values)
+    if na > 0:
+        scaled = ue if centre else np.empty_like(ue)   # the centred values are the report's own
+
+        def normalized(c):
+            """values/na - ue/nb, in diff."""
+            np.divide(values[c], na, out=diff[c])
+            np.divide(ue[c], nb, out=scaled[c])
+            np.subtract(diff[c], scaled[c], out=diff[c])
+        each(normalized)
     return {
-        "l2_rel": _norm(diff) / nb,
-        "linf": float(np.max(np.abs(diff))),
-        "l2_normalized": _norm(s.values / na - ue / nb) if na > 0 else math.inf,
+        "l2_rel": l2_rel,
+        "linf": linf,
+        "l2_normalized": _norm(diff) if na > 0 else math.inf,
     }
 
 

@@ -15,10 +15,12 @@ source coefficients f-hat fill every row that retains at least one interior
 axis and are dropped from rows whose axes are all closure indices (those
 rows are pure constraint rows).
 
-Mixed-derivative contributions are dropped from closure rows so the
-constraint equations stay exact.  For Fourier at d = 2 that drops nothing
-(the first-derivative matrix is diagonal with a zero at the center
-frequency); at d = 3, and for Chebyshev, it is load-bearing.
+Mixed-derivative contributions are dropped from Chebyshev closure rows so
+the constraint equations stay exact.  Fourier closure rows keep them: the
+first-derivative matrix is diagonal with a zero at the center frequency, so
+the term of axes j1, j2 already vanishes on a row closed on j1 or j2, and a
+row closed only on other axes (d >= 3) keeps the whole PDE, as its f-hat
+right-hand side does.
 
 Closure variants for the periodic basis: "axes" (default, one mean-value row
 per axis, mirroring the Chebyshev structure), "point" (a single all-ones row
@@ -199,8 +201,10 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
     B = diff_matrix(basis, 2, n, with_boundary_rows=True)
     L = kron_sum([A[j, j] * B for j in range(d)])
     if mixed is not None:
-        # constraint rows must stay exact; the mixed action enters interior rows only
-        L = L + sp.diags((closed == 0).astype(float)) @ mixed
+        if basis == "chebyshev":
+            # constraint rows must stay exact; the mixed action enters interior rows only
+            mixed = sp.diags((closed == 0).astype(float)) @ mixed
+        L = L + mixed
 
     if closure in ("point", "pin"):
         _require_finite("point_value", point_value)

@@ -471,6 +471,126 @@ class TestSlabFFT:
             fdm._fft_pass(fft, x, x, 1, 4)
 
 
+def einsum_norm(v):
+    return math.sqrt(np.einsum("i,i->", v, v))
+
+
+def oracle_solve(system):
+    """The periodic solve as whole-cube numpy: rfftn, the kernel found by a
+    scan of the spectrum and masked by np.where, irfftn, and the residual
+    and its centred rhs out of place."""
+    p = system.problem
+    shape, axes = (2 * p.n,) * p.d, tuple(range(p.d))
+    lam = system.eig_axis / p.h ** 2
+    half = sum(np.reshape(lam[:p.n + 1] if j == p.d - 1 else lam,
+                          [-1 if a == j else 1 for a in range(p.d)]) for j in range(p.d))
+    F = np.fft.rfftn(system.rhs.reshape(shape))
+    zero = np.abs(half) < 1e-14 * np.abs(half).max()
+    F = F / np.where(zero, 1.0, half)
+    F[zero] = 0.0
+    u = np.fft.irfftn(F, s=shape, axes=axes).reshape(-1)
+    Au = np.fft.irfftn(np.fft.rfftn(u.reshape(shape)) * half, s=shape, axes=axes).reshape(-1)
+    b = system.rhs
+    return u, einsum_norm(Au - (b - b.mean())) / max(einsum_norm(b), 1e-300)
+
+
+def oracle_errors(values, exact):
+    ue = exact - exact.mean()
+    nb, na = einsum_norm(ue), einsum_norm(values)
+    diff = values - ue
+    return {"l2_rel": einsum_norm(diff) / nb, "linf": float(np.max(np.abs(diff))),
+            "l2_normalized": einsum_norm(values / na - ue / nb)}
+
+
+def hexes(report):
+    return {key: float(value).hex() for key, value in report.items()}
+
+
+@pytest.mark.filterwarnings("ignore:k=.*condition-number bands:UserWarning")
+class TestPeriodicPasses:
+    """The periodic solve's slab passes and the error report against whole-cube numpy."""
+
+    @BOUNDED
+    @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.sampled_from([1, MANY]),
+           st.data())
+    def test_solve_and_errors_keep_the_whole_cube_bits(self, d, seed, cpus, data):
+        n = data.draw(st.integers(2, (40, 24, 12)[d - 1]))
+        system = with_random_rhs("periodic", d, n, data.draw(st.integers(1, min(4, n - 1))), seed)
+        exact = np.random.default_rng(seed + 1).normal(size=system.rhs.size)
+        kept = exact.copy()
+        with mock.patch.object(fdm, "_cpus", lambda: cpus):
+            field = solve(system)
+            from_array = error_report(field, exact)
+            from_callable = error_report(field, lambda *X: exact.reshape(X[0].shape))
+        values, residual = oracle_solve(system)
+        assert field.values.tobytes() == values.tobytes()
+        assert field.residual.hex() == residual.hex()
+        want = hexes(oracle_errors(field.values, kept))
+        assert hexes(from_array) == want and hexes(from_callable) == want
+        assert exact.tobytes() == kept.tobytes()
+
+    @BOUNDED
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=3), st.sampled_from([1, MANY]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_inverse_in_its_own_buffer_keeps_numpys_bits(self, shape, cpus, seed):
+        rng = np.random.default_rng(seed)
+        size = np.fft.rfftn(np.zeros(shape)).shape
+        X = rng.normal(size=size) + 1j * rng.normal(size=size)
+        want = np.fft.irfftn(X, s=shape, axes=tuple(range(len(shape))))
+        with mock.patch.object(fdm, "_cpus", lambda: cpus):
+            assert np.array_equal(fdm._irfftn(X, tuple(shape), overwrite=True), want)
+
+    @BOUNDED
+    @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.sampled_from([1, MANY]),
+           st.data())
+    def test_cg_builds_one_basis_and_keeps_its_bits(self, d, seed, cpus, data):
+        n = data.draw(st.integers(2, (24, 12, 6)[d - 1]))
+        system = with_random_rhs("periodic", d, n, data.draw(st.integers(1, min(3, n - 1))), seed)
+        with mock.patch.object(fdm, "_cpus", lambda: 1):
+            one = solve(system, method="cg")
+        with (mock.patch.object(fdm, "_cpus", lambda: cpus),
+              mock.patch.object(fdm, "_eigenbasis", wraps=fdm._eigenbasis) as built):
+            split = solve(system, method="cg")
+        assert built.call_count == 1 and split.iterations == one.iterations > 1
+        assert split.values.tobytes() == one.values.tobytes()
+        assert split.residual == one.residual
+
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
+    def test_error_report_leaves_the_exact_array_alone(self, bc):
+        n = 8
+        shift = 0.0 if bc == "periodic" else math.pi / n / 2
+        x = math.pi * np.arange(2 * n) / n + shift
+        trig = np.cos if bc == "neumann" else np.sin
+        p = FdmProblem(d=2, n=n, k=2, bc=bc,
+                       rhs_sampler=lambda X, Y: -2.0 * trig(X + shift) * trig(Y + shift))
+        field = solve(assemble(p))
+        # a constant offset is in the kernel, and off the Dirichlet sector
+        exact = np.multiply.outer(trig(x), trig(x)) + (0.0 if bc == "dirichlet" else 0.25)
+        if bc != "periodic":
+            exact = fold_vector(fold_vector(exact, bc, axis=0), bc, axis=1)
+        kept = exact.copy()
+        rep = error_report(field, exact=exact)
+        assert exact.tobytes() == kept.tobytes()
+        assert error_report(field, exact=kept) == rep
+        assert rep["l2_rel"] < 1e-3
+
+    def test_overflowing_zero_mean_source_is_accepted(self):
+        # +-1e200 overflows the norm; every sample is finite and the mean is 0
+        p = FdmProblem(d=2, n=4, k=1, rhs_sampler=lambda x, y: 1e200 * np.cos(4 * x))
+        system = assemble(p)
+        assert fdm._norm(system.rhs) == math.inf
+        assert np.array_equal(np.abs(system.rhs), np.full(64, 1e200))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_beside_an_overflowing_norm_rejected(self, bad):
+        def f(x, y):
+            out = 1e200 * np.cos(4 * x)
+            out[1, 2] = bad
+            return out
+        with pytest.raises(ParameterError, match="non-finite"):
+            assemble(FdmProblem(d=2, n=4, k=1, rhs_sampler=f))
+
+
 def test_import_loads_no_scipy_linalg():
     code = ("import sys, pdekit; "
             "print([m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])")

@@ -140,7 +140,8 @@ def test_assembled_operator_matches_dense_formula(basis, d, n, seed, data):
         return reduce(np.kron, [D if a in axes else np.eye(N) for a in range(d)])
 
     expected = sum(A[j, j] * on({j}, Dc) for j in range(d))
-    keep = np.diag((~closure_mask(basis, n, d)).astype(float))
+    # Chebyshev closure rows drop the mixed terms; Fourier ones keep them
+    keep = np.diag((~closure_mask(basis, n, d) | (basis == "fourier")).astype(float))
     for j1, j2 in combinations(range(d), 2):
         expected = expected + keep @ ((A[j1, j2] + A[j2, j1]) * on({j1, j2}, D1))
     assert np.allclose(system.L.toarray(), expected, atol=1e-13)
@@ -150,8 +151,8 @@ def test_assembled_operator_matches_dense_formula(basis, d, n, seed, data):
 
 def fold_operator(A, basis, n, closure="axes"):
     """L as the fold-based assembly built it, kept as assemble_system's oracle: the
-    pure part an sp.kronsum fold, the mixed terms masked by a diagonal product and
-    the point/pin row set by a second one."""
+    pure part an sp.kronsum fold, the Chebyshev mixed terms masked by a diagonal
+    product and the point/pin row set by a second one."""
     d, N = A.shape[0], n + 1
     closed = np.isin(np.arange(N), boundary_row_indices(basis, n))
     closed = sum(np.reshape(closed, [-1 if a == j else 1 for a in range(d)])
@@ -167,7 +168,7 @@ def fold_operator(A, basis, n, closure="axes"):
     L = reduce(lambda acc, b: sp.kronsum(b, acc, format="csr"), blocks[1:],
                sp.csr_matrix(blocks[0]))
     if mixed is not None:
-        L = L + sp.diags((closed == 0).astype(float)) @ mixed
+        L = L + (sp.diags((closed == 0).astype(float)) @ mixed if basis == "chebyshev" else mixed)
     if closure in ("point", "pin"):
         center = np.ravel_multi_index([n // 2] * d, [N] * d)
         cols = np.arange(N ** d) if closure == "point" else np.array([center])
