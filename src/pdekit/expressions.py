@@ -98,9 +98,12 @@ def one_factor() -> Factor:
 class ProductExpression:
     """u(x) = prod_j factor_j(x_j) over d axes.
 
-    Its evaluations take one coordinate array per axis: 1D lines span a
-    tensor grid, and arrays of any other shape (meshgrids) are evaluated
-    pointwise as given.
+    Its evaluations take one coordinate array per axis and return a new
+    array of the grid's shape.  1D lines span a tensor grid, and so do
+    meshgrid arrays whose array j has stride 0 off axis j (the read-only
+    views fdm.periodic_grid returns): there each factor is evaluated once on
+    its axis line and the product broadcasts, with the bits of the pointwise
+    product.  Arrays of any other shape are evaluated pointwise as given.
     """
 
     def __init__(self, factors):
@@ -113,21 +116,32 @@ class ProductExpression:
         return len(self.factors)
 
     def _grids(self, grids):
+        """(coordinates per axis, grid shape): axis lines shaped to broadcast, or the arrays."""
         if len(grids) != self.d:
             raise ParameterError(f"expected {self.d} coordinate arrays, got {len(grids)}")
+        d = self.d
         arrays = [np.asarray(g, dtype=float) for g in grids]
         if all(a.ndim == 1 for a in arrays):
-            return np.meshgrid(*arrays, indexing="ij")
-        return arrays
+            lines = arrays
+        elif all(a.ndim == d and a.shape == arrays[0].shape
+                 and all(step == 0 for k, step in enumerate(a.strides) if k != j)
+                 for j, a in enumerate(arrays)):
+            lines = [a[(0,) * j + (slice(None),) + (0,) * (d - 1 - j)]
+                     for j, a in enumerate(arrays)]
+        else:
+            return arrays, np.broadcast_shapes(*(a.shape for a in arrays))
+        shaped = [x.reshape([-1 if k == j else 1 for k in range(d)]) for j, x in enumerate(lines)]
+        return shaped, tuple(x.size for x in lines)
 
     def _eval(self, grids, which):
         """which maps axis -> 0, 1 or 2 (derivative order); absent axes use 0."""
-        X = self._grids(grids)
+        X, shape = self._grids(grids)
         out = 1.0
         for j, f in enumerate(self.factors):
             fn = (f.value, f.d1, f.d2)[which.get(j, 0)]
             out = out * fn(X[j])
-        return out
+        # a factor that returns a scalar leaves its axis out of the product
+        return out if np.shape(out) == shape else np.broadcast_to(out, shape).copy()
 
     def value(self, grids):
         return self._eval(grids, {})

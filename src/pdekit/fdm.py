@@ -14,7 +14,8 @@ threads in slabs of rows along the first axis, in place where the path owns
 the array: the kernel is read off the spectrum's zero frequency and the
 inverse transform runs in the solve's own frequency cube.  Norms, means and
 extremes are taken over whole arrays, so every output keeps the bits of
-whole-cube numpy.  Restricted residuals are taken by applying the 1D
+whole-cube numpy; the solve reuses the source's mean and norm that
+assemble took.  Restricted residuals are taken by applying the 1D
 factor along each axis.  Conjugate gradient on the same operator stays as
 the cross-check.  The source and exact solution are sampled on read-only
 broadcast views of the coordinate lines, never on materialized meshgrids.
@@ -33,7 +34,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,13 +92,17 @@ class FdmSystem:
     eig_axis is the 1D spectrum of L's axis factor: all 2n circulant
     eigenvalues when periodic, the sector's n of them when restricted.
     matrix is the restricted axis factor (1/h^2) R, which L sums over the
-    d axes; periodic systems have none.
+    d axes; periodic systems have none.  rhs_stats is (rhs, its mean, its
+    2-norm) as assemble took them for its periodic checks; a solve reuses
+    the two numbers while rhs is still that array, and takes them itself
+    for a replaced rhs or a system built by hand.
     """
 
     problem: FdmProblem
     rhs: np.ndarray
     eig_axis: np.ndarray | None = None
     matrix: sp.csr_matrix | None = None
+    rhs_stats: tuple | None = field(default=None, repr=False, compare=False)
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         p = self.problem
@@ -323,14 +328,16 @@ def assemble(p: FdmProblem) -> FdmSystem:
     if p.bc == "periodic":
         # a finite norm vouches for every sample; a norm that is not finite
         # (a NaN or inf sample, or finite ones that overflow) sends for the scan
-        norm = _norm(f)
+        rhs = f.reshape(-1)
+        norm, rhs_mean = _norm(rhs), rhs.mean()
         if not math.isfinite(norm) and not np.isfinite(f).all():
             raise ParameterError("sampler returned non-finite source values")
-        mean = abs(f.mean()) * math.sqrt(f.size)
+        mean = abs(rhs_mean) * math.sqrt(f.size)
         if mean > MEAN_RTOL * norm:
             raise CompatibilityError(
                 f"periodic rhs has mean component {mean:.3e} > {MEAN_RTOL:.0e} * ||f||")
-        return FdmSystem(problem=p, rhs=f.reshape(-1), eig_axis=lam)
+        return FdmSystem(problem=p, rhs=rhs, eig_axis=lam,
+                         rhs_stats=(rhs, rhs_mean, norm))
     if not np.isfinite(f).all():
         raise ParameterError("sampler returned non-finite source values")
     restricted = restrict(s, p.n, p.bc)
@@ -495,13 +502,16 @@ def solve(system: FdmSystem, method: str = "auto") -> SolutionField:
         u = _divide(basis, system.rhs)
         # the residual A u - (f - mean f), subtracted in place into A u, slab by slab
         shape, split = (2 * p.n,) * p.d, basis[-1]
-        f, mean = system.rhs.reshape(shape), system.rhs.mean()
+        f = system.rhs.reshape(shape)
+        stats = system.rhs_stats
+        mean, norm = (stats[1:] if stats is not None and stats[0] is system.rhs
+                      else (system.rhs.mean(), _norm(system.rhs)))
         r = _apply(basis, u).reshape(shape)
 
         def subtract(lo, hi):
             np.subtract(r[lo:hi], f[lo:hi] - mean, out=r[lo:hi])
         _each_slab(subtract, shape[0], split)
-        res = _norm(r) / max(_norm(system.rhs), 1e-300)
+        res = _norm(r) / max(norm, 1e-300)
         return SolutionField(problem=p, values=u, method="eigen", residual=res)
     if method != "cg":
         raise ParameterError(f"method must be auto, eigen or cg, got {method!r}")

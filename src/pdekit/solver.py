@@ -379,8 +379,9 @@ def convergence_study(expr, A, basis: str, n_values, closure: str = "axes",
     """Sweep truncation orders; one row per n with the study's CSV schema.
 
     Columns: basis, d, n, raw_l2, normalized_l2, kappa, q, residual,
-    runtime_ms.  kappa costs a condition report (Lanczos and one sparse LU)
-    per n and is skipped (NaN) unless requested; a requested kappa above
+    runtime_ms.  kappa costs a condition report (Lanczos on L and on L^-1,
+    the latter per axis for a pure-part L, else through one sparse LU) per
+    n and is skipped (NaN) unless requested; a requested kappa above
     DENSE_LIMIT rows raises BudgetExceeded.
     """
     rows = []

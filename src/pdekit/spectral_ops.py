@@ -39,7 +39,7 @@ __all__ = [
 BASES = ("fourier", "chebyshev")
 SYSTEM_BUDGET = 1 << 17  # max rows of an assembled operator (storage is sparse)
 NNZ_BUDGET = 1 << 24  # max stored nonzeros of one assembled mixed term
-DENSE_LIMIT = 4096  # max rows of an operator given a condition report (one sparse LU of it)
+DENSE_LIMIT = 4096  # max rows of an operator given a condition report (Lanczos on it and its inverse)
 
 
 def _cheb_pairs(n: int, offset: int):

@@ -38,7 +38,7 @@ import scipy.sparse as sp
 from .errors import BudgetExceeded, DegenerateRhs, ParameterError
 from .spectral_ops import (BASES, DENSE_LIMIT, SYSTEM_BUDGET, boundary_row_indices, diff_matrix,
                            gdd_check, multi_diff)
-from .tensor import axis_sum, kron_sum
+from .tensor import _eig_inverse, axis_sum, kron_sum
 
 __all__ = [
     "choose_truncation",
@@ -308,15 +308,41 @@ def _sigma_max(op) -> float:
     return float(spla.svds(op, k=1, tol=0, v0=v0, return_singular_vectors=False)[0])
 
 
+def _pure_inverse(system):
+    """K^-1 and K^-H as per-axis maps when L is its pure part K = kron_sum([A_jj B]), else None.
+
+    It takes d >= 2 axes, the "axes" closure and a diagonal A (checked
+    first, before K is built), and L's stored entries equal to K's, checked
+    entry by entry: a caller may replace L.  None also when the eigenbasis
+    of B is refused (see tensor._eig_inverse); one axis keeps the sparse LU,
+    as kron_sum_solver does.
+    """
+    A = system.A
+    if system.d < 2 or system.closure != "axes" or np.count_nonzero(A - np.diag(np.diag(A))):
+        return None
+    weights = np.diag(A)
+    K = kron_sum([w * system.block for w in weights])
+    if (K != system.L).nnz:
+        return None
+    try:
+        return _eig_inverse(system.block, weights)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def condition_report(system) -> dict:
     """Extreme singular values of L, and the bounds they are measured against.
 
     sigma_max comes from Lanczos on the sparse L, sigma_min = 1 / ||L^-1||_2
-    from Lanczos on L^-1, applied through one sparse LU of L in its natural
-    order (the least fill on these operators); L is never made dense.  An
-    exactly singular factor reads sigma_min = 0 and kappa = inf.  method
-    names the estimator and lu_nnz the factor's stored entries (None when
-    singular).  Systems above DENSE_LIMIT rows raise BudgetExceeded.
+    from Lanczos on L^-1; L is never made dense.  When L is its pure part
+    kron_sum([A_jj B]) (d >= 2, diagonal A, "axes" closure), L^-1 and L^-H
+    are per-axis maps through one eigendecomposition of B ("lanczos-eig",
+    no factor: lu_nnz None).  Otherwise, and wherever that eigenbasis is
+    refused, they come from one sparse LU of L in its natural order, the
+    least fill on these operators ("lanczos-splu", lu_nnz the factor's
+    stored entries).  An exactly singular factor reads sigma_min = 0,
+    kappa = inf and lu_nnz None.  method names the estimator.  Systems above
+    DENSE_LIMIT rows raise BudgetExceeded.
     bound_poisson is (2n)^4; bound_general scales it by
     norm_sigma / (C * norm_star) when the operator is GDD-accepted.
     min_eig_sum is the near-singularity indicator of the pure part (see
@@ -330,16 +356,22 @@ def condition_report(system) -> dict:
         raise BudgetExceeded(
             f"condition report of {size} rows exceeds DENSE_LIMIT={DENSE_LIMIT}")
     smax = _sigma_max(spla.aslinearoperator(L))
-    try:
-        lu = spla.splu(L.tocsc(), permc_spec="NATURAL")
-    except RuntimeError as exc:
-        if "singular" not in str(exc):
-            raise
-        smin, lu_nnz = 0.0, None
+    pure = _pure_inverse(system)
+    if pure is not None:
+        inverse = spla.LinearOperator(L.shape, matvec=pure[0], rmatvec=pure[1], dtype=L.dtype)
+        smin, method, lu_nnz = 1.0 / _sigma_max(inverse), "lanczos-eig", None
     else:
-        inverse = spla.LinearOperator(L.shape, matvec=lu.solve, dtype=L.dtype,
-                                      rmatvec=lambda x: lu.solve(x, trans="H"))
-        smin, lu_nnz = 1.0 / _sigma_max(inverse), lu.L.nnz + lu.U.nnz
+        method = "lanczos-splu"
+        try:
+            lu = spla.splu(L.tocsc(), permc_spec="NATURAL")
+        except RuntimeError as exc:
+            if "singular" not in str(exc):
+                raise
+            smin, lu_nnz = 0.0, None
+        else:
+            inverse = spla.LinearOperator(L.shape, matvec=lu.solve, dtype=L.dtype,
+                                          rmatvec=lambda x: lu.solve(x, trans="H"))
+            smin, lu_nnz = 1.0 / _sigma_max(inverse), lu.L.nnz + lu.U.nnz
     kappa = smax / smin if smin > 0 else math.inf
     bound_poisson = float((2 * system.n) ** 4)
     gdd = system.gdd
@@ -355,6 +387,6 @@ def condition_report(system) -> dict:
         "within_poisson": kappa <= bound_poisson,
         "within_general": kappa <= bound_general,
         "min_eig_sum": min_eig_sum(system),
-        "method": "lanczos-splu",
+        "method": method,
         "lu_nnz": lu_nnz,
     }

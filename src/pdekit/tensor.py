@@ -5,7 +5,8 @@ are flattened row-major, so axis 0 varies slowest and is the leftmost
 Kronecker factor; every module lifts its 1D pieces through this one.
 kron_sum builds a Kronecker sum as CSR by index arithmetic on its blocks;
 kron_sum_solver inverts a weighted sum of one block in a form it names: the
-block's sparse LU for one axis, else one eigendecomposition of the block.
+block's sparse LU for one axis, else one eigendecomposition of the block,
+which also gives the adjoint inverse the condition report reads.
 """
 
 from __future__ import annotations
@@ -147,14 +148,10 @@ def kron_sum_solver(block, weights):
     """The map x -> K^-1 @ x for K = kron_sum([w * block for w in weights]), and its form's name.
 
     One weight makes K the scaled block itself, factored by its sparse LU
-    ("splu").  More take one dense eigendecomposition of the block,
-    B = V diag(lam) V^-1 ("eig"): x is carried into the eigenbasis along
-    every axis, divided by the spectrum axis_sum(w_j lam), and carried back.
-    An eigenbasis too ill-conditioned to carry x there and back,
-    eps ||V||_1 ||V^-1||_1 > EIGENBASIS_LIMIT (a defective block has one), or
-    a sum that is singular to rounding raises numpy.linalg.LinAlgError before
-    anything is divided.  A real block and real weights map real x to real
-    results.
+    ("splu").  More take one dense eigendecomposition of the block ("eig",
+    see _eig_inverse), which raises numpy.linalg.LinAlgError on an
+    ill-conditioned eigenbasis (a defective block has one) or a sum singular
+    to rounding.  A real block and real weights map real x to real results.
     """
     import scipy.sparse.linalg as spla
 
@@ -168,6 +165,23 @@ def kron_sum_solver(block, weights):
             raise np.linalg.LinAlgError(f"sparse factorization failed: {exc}") from exc
         return (lambda x: (lu.solve(x.real) + 1j * lu.solve(x.imag)
                            if real and np.iscomplexobj(x) else lu.solve(x))), "splu"
+    return _eig_inverse(block, weights)[0], "eig"
+
+
+def _eig_inverse(block, weights) -> tuple:
+    """The maps x -> K^-1 @ x and x -> K^-H @ x for K = kron_sum([w * block for w in weights]).
+
+    kron_sum_solver's "eig" form and its adjoint: with B = V diag(lam) V^-1,
+    K^-1 carries x by V^-1 along every axis, divides by the spectrum
+    axis_sum(w_j lam) and carries it back by V; K^-H carries x by V^H,
+    divides by the conjugate spectrum and carries it back by V^-H.  An
+    eigenbasis too ill-conditioned to carry x there and back,
+    eps ||V||_1 ||V^-1||_1 > EIGENBASIS_LIMIT, or a sum that is singular to
+    rounding raises numpy.linalg.LinAlgError before anything is divided.
+    """
+    weights = np.asarray(weights)
+    d = weights.size
+    real = not (np.iscomplexobj(block.data) or np.iscomplexobj(weights))
     lam, V = np.linalg.eig(block.toarray())
     V_inv = np.linalg.inv(V)
     drift = np.finfo(float).eps * np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1)
@@ -177,16 +191,17 @@ def kron_sum_solver(block, weights):
     if np.abs(spectrum).min() <= d * np.finfo(float).eps * np.abs(spectrum).max():
         raise np.linalg.LinAlgError("Kronecker sum is singular to rounding")
 
-    def solve(x):
+    def carry(x, into, divisor, back):
         cube = np.array(np.reshape(x, spectrum.shape), dtype=np.result_type(x, spectrum))
         for j in range(d):
-            cube = _matmul_along(V_inv, cube, j)
-        cube /= spectrum
+            cube = _matmul_along(into, cube, j)
+        cube /= divisor
         for j in range(d):
-            cube = _matmul_along(V, cube, j)
+            cube = _matmul_along(back, cube, j)
         out = cube.reshape(-1)
         return out.real if real and not np.iscomplexobj(x) else out
-    return solve, "eig"
+    return (lambda x: carry(x, V_inv, spectrum, V),
+            lambda x: carry(x, V.conj().T, spectrum.conj(), V_inv.conj().T))
 
 
 def axis_sum(values, d: int) -> np.ndarray:

@@ -240,6 +240,18 @@ class TestSolveSpectral:
         assert meta["kappa_method"] == "lanczos-splu"
         assert meta["kappa_lu_nnz"] == report["lu_nnz"] >= system.L.nnz
 
+    def test_pure_part_kappa_comes_from_the_eigenbasis(self, tmp_path, capsys):
+        spec = {"method": "spectral", "basis": "chebyshev", "d": 2, "n": 12,
+                "A": [[1.0, 0.0], [0.0, 1.5]], "solution": "exp-sin"}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["solve", "--spec", str(path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        system, _ = manufactured_problem("exp-sin", np.array(spec["A"]), "chebyshev", 12)
+        assert meta["kappa"] == spectral_system.condition_report(system)["kappa"]
+        assert meta["kappa_method"] == "lanczos-eig" and meta["kappa_lu_nnz"] is None
+
     def test_singular_system_is_runtime_failure(self, tmp_path, capsys):
         spec = {"method": "spectral", "basis": "chebyshev", "d": 3,
                 "n": 2, "solution": "exp-sin"}

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdekit.errors import ParameterError
 from pdekit.expressions import (
+    Factor,
     ProductExpression,
     SumExpression,
     builtin_expression,
@@ -17,6 +20,7 @@ from pdekit.expressions import (
     poly_factor,
     sin_factor,
 )
+from pdekit.fdm import periodic_grid
 
 
 def central_second(f, x, h=1e-4):
@@ -84,6 +88,54 @@ def test_meshgrid_arrays_are_evaluated_as_given(d, rng):
     pts = rng.uniform(-1.0, 1.0, size=(d, 7, 1))
     want = np.prod([np.exp(np.sin(x)) for x in pts], axis=0)
     assert np.allclose(expr.value(list(pts)), want, rtol=1e-15, atol=0)
+
+
+FAMILIES = ("exp-sin-pi", "exp-sin", "sin-pi", "sin", "cos", "cubic", "one", "poly", "factors")
+
+
+def family(name, d, rng):
+    """A builtin family, a random cubic on every axis, or a random factor per axis."""
+    if name == "poly":
+        return ProductExpression([poly_factor(rng.normal(size=4))] * d)
+    if name == "factors":
+        a = rng.uniform(0.5, 3.0)
+        pool = [sin_factor(a), cos_factor(a), exp_sin_factor(a), one_factor(),
+                poly_factor(rng.normal(size=3))]
+        return ProductExpression([pool[i] for i in rng.integers(len(pool), size=d)])
+    return builtin_expression(name, d)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.sampled_from(FAMILIES), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_lines_views_and_meshgrids_give_the_same_bytes(d, name, n, seed):
+    # each factor runs once on its line and the product broadcasts: the bits of the
+    # pointwise product on a full meshgrid, in a new writable array of the grid's shape
+    rng = np.random.default_rng(seed)
+    expr = family(name, d, rng)
+    A = rng.uniform(-0.3, 0.3, size=(d, d)) + np.diag(rng.uniform(0.5, 2.0, size=d))
+    line = np.pi * np.arange(2 * n) / n
+    own = [rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 6))) for _ in range(d)]
+    shape = tuple(x.size for x in own)
+    own_views = [np.broadcast_to(x, shape)
+                 for x in np.meshgrid(*own, indexing="ij", sparse=True)]
+    cases = [([line] * d, periodic_grid(n, d), np.meshgrid(*[line] * d, indexing="ij")),
+             (own, own_views, np.meshgrid(*own, indexing="ij"))]
+    for evaluate in (expr.value, lambda g: expr.elliptic_image(A, g)):
+        for lines, views, copies in cases:
+            want = evaluate(copies)
+            for got in (evaluate(lines), evaluate(views), want):
+                assert got.shape == copies[0].shape and got.flags.writeable
+                assert got.tobytes() == want.tobytes()
+
+
+def test_a_scalar_factor_keeps_the_grid_shape():
+    two = Factor("2", lambda x: 2.0, lambda x: 0.0, lambda x: 0.0)
+    expr = ProductExpression([two, sin_factor(1.0)])
+    x, y = np.linspace(0, 1, 3), np.linspace(0, 1, 4)
+    got = expr.value((x, y))
+    assert got.shape == (3, 4) and got.flags.writeable
+    assert got.tobytes() == expr.value(np.meshgrid(x, y, indexing="ij")).tobytes()
 
 
 def test_boundary_trace_drops_an_axis():

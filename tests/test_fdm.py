@@ -555,6 +555,20 @@ class TestPeriodicPasses:
         assert split.values.tobytes() == one.values.tobytes()
         assert split.residual == one.residual
 
+    @pytest.mark.parametrize("d, n", [(1, 16), (2, 8), (3, 6)])
+    def test_solve_reuses_the_assembled_mean_and_norm(self, d, n):
+        b = np.random.default_rng(d).normal(size=(2 * n) ** d)
+        b -= b.mean()
+        system = assemble(FdmProblem(d=d, n=n, k=2, rhs_sampler=lambda *X: b.reshape(X[0].shape)))
+        by_hand = fdm.FdmSystem(problem=system.problem, rhs=system.rhs, eig_axis=system.eig_axis)
+        values, residual = oracle_solve(system)
+        for built, norms in ((system, 1), (by_hand, 2)):
+            with mock.patch.object(fdm, "_norm", wraps=fdm._norm) as taken:
+                field = solve(built)
+            assert taken.call_count == norms
+            assert field.values.tobytes() == values.tobytes()
+            assert field.residual.hex() == residual.hex()
+
     @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
     def test_error_report_leaves_the_exact_array_alone(self, bc):
         n = 8

@@ -442,6 +442,7 @@ def test_condition_report_of_an_exactly_singular_factor():
     keep[14] = 0.0
     system.L = (sp.diags(keep) @ system.L).tocsr()
     rep = condition_report(system)
+    assert rep["method"] == "lanczos-splu"
     assert rep["sigma_min"] == 0.0 and rep["kappa"] == math.inf and rep["lu_nnz"] is None
     assert rep["sigma_max"] == pytest.approx(dense_singular_values(system)[0], rel=1e-12)
     assert rep["within_poisson"] is False and rep["within_general"] is False
@@ -459,6 +460,46 @@ def test_condition_report_needs_no_dense_svd(monkeypatch):
     assert rep["method"] == "lanczos-splu" and rep["lu_nnz"] >= system.L.nnz
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(["fourier", "chebyshev"]), st.integers(2, 3), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_pure_part_reports_from_the_eigenbasis(basis, d, seed, data):
+    # L = kron_sum([A_jj B]): L^-1 and L^-H run through one eig of B, with no sparse LU
+    n = data.draw(st.integers(2, (12, 6)[d - 2]))
+    A = np.diag(np.random.default_rng(seed).uniform(0.5, 2.0, size=d))
+    system = assemble_system(A, basis, n, np.zeros((n + 1) ** d))
+    want = dense_singular_values(system)
+    rep = condition_report(system)
+    assert rep["method"] == "lanczos-eig" and rep["lu_nnz"] is None
+    assert rep["kappa"] == pytest.approx(want[0] / want[-1], rel=1e-10)
+    assert rep["sigma_min"] == pytest.approx(want[-1], rel=1e-10)
+
+
+def splu_cases():
+    """Systems whose report keeps the sparse LU, by name."""
+    rng = np.random.default_rng(5)
+    replaced = assemble_system(np.diag([1.0, 2.0]), "chebyshev", 6, np.zeros(49))
+    replaced.L = (replaced.L + sp.identity(49, format="csr")).tocsr()
+    return {
+        "mixed": assemble_system(random_gdd(rng, 2), "chebyshev", 8, np.zeros(81)),
+        "point": assemble_system(np.diag([1.0, 1.5]), "fourier", 6, np.zeros(49),
+                                 closure="point"),
+        "pin": assemble_system(np.diag([1.0, 1.5]), "fourier", 6, np.zeros(49), closure="pin"),
+        "d1-fourier": assemble_system(np.diag([1.3]), "fourier", 8, np.zeros(9)),
+        "d1-chebyshev": assemble_system(np.diag([1.3]), "chebyshev", 8, np.zeros(9)),
+        "replaced-L": replaced,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(splu_cases()))
+def test_reports_off_the_pure_part_keep_the_sparse_lu(case):
+    system = splu_cases()[case]
+    rep = condition_report(system)
+    want = dense_singular_values(system)
+    assert rep["method"] == "lanczos-splu" and rep["lu_nnz"] >= system.L.nnz
+    assert rep["kappa"] == pytest.approx(want[0] / want[-1], rel=1e-10)
+
+
 def test_condition_report_refuses_above_dense_limit(monkeypatch):
     system = assemble_system(np.eye(1), "fourier", 6, np.zeros(7))
     monkeypatch.setattr(spectral_system, "DENSE_LIMIT", 7)
@@ -469,9 +510,11 @@ def test_condition_report_refuses_above_dense_limit(monkeypatch):
 
 
 def test_chebyshev_triple_product_singularity():
-    # the closed operator has a zero Kronecker-sum eigenvalue at n = 2, d = 3
+    # the closed operator has a zero Kronecker-sum eigenvalue at n = 2, d = 3: the
+    # eigenbasis is refused as singular to rounding, and the sparse LU reports
     system = assemble_system(np.eye(3), "chebyshev", 2, np.zeros(27))
     rep = condition_report(system)
+    assert rep["method"] == "lanczos-splu"
     assert rep["sigma_min"] < 1e-10
     assert rep["within_poisson"] is False
 

@@ -22,7 +22,7 @@ from pdekit.laplacian import eigenvalues_1d
 from pdekit.solver import analyze_values, synthesize_nodes
 from pdekit.spectral_ops import diff_matrix, multi_diff
 from pdekit.stencil import make_stencil
-from pdekit.tensor import axis_sum, kron, kron_sum, kron_sum_apply, kron_sum_solver
+from pdekit.tensor import _eig_inverse, axis_sum, kron, kron_sum, kron_sum_apply, kron_sum_solver
 from pdekit.transforms import (endpoint_weights, qct_matrix, qsft_apply, qsft_matrix,
                                sector_apply)
 
@@ -196,6 +196,27 @@ def test_kron_sum_solver_matches_sparse_solve(d, size, complex_block, complex_x,
     assert form == ("splu" if d == 1 else "eig")
     assert np.iscomplexobj(got) == (complex_block or complex_x)
     assert np.allclose(got, want, rtol=0, atol=1e-12 * np.linalg.norm(want))
+
+
+@BOUNDED
+@given(st.integers(2, 3), st.integers(1, 6), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_eigenbasis_inverse_and_its_adjoint_match_sparse_solves(d, size, complex_block,
+                                                               complex_x, seed):
+    # the "eig" form's two maps: K^-1 is kron_sum_solver's own, bit for bit; K^-H solves K^H
+    rng = np.random.default_rng(seed)
+    shape = (size, size)
+    block = sp.csr_matrix(rng.normal(size=shape) + 3 * size * np.eye(size)
+                          + (1j * rng.normal(size=shape) if complex_block else 0))
+    weights = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0, size=d)
+    x = rng.normal(size=size ** d) + (1j * rng.normal(size=size ** d) if complex_x else 0)
+    K = kron_sum([w * block for w in weights]).tocsc()
+    inverse, adjoint = _eig_inverse(block, weights)
+    assert inverse(x).tobytes() == kron_sum_solver(block, weights)[0](x).tobytes()
+    for got, want in ((inverse(x), spla.spsolve(K, x)),
+                      (adjoint(x), spla.spsolve(K.conj().T.tocsc(), x))):
+        assert np.iscomplexobj(got) == (complex_block or complex_x)
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * np.linalg.norm(want))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
