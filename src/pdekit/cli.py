@@ -238,8 +238,12 @@ def _solve_spectral(spec, outdir, fmt) -> int:
     try:
         report = condition_report(system)
     except BudgetExceeded:
-        # too large for the report: metadata carries the indicator, no kappa
-        report = {"min_eig_sum": min_eig_sum(system)}
+        # too large for the report: metadata carries the indicator, no kappa,
+        # and neither once B itself is above the dense budget
+        try:
+            report = {"min_eig_sum": min_eig_sum(system)}
+        except BudgetExceeded:
+            report = {}
     meta.update({name: report[key] for key, name in REPORT_KEYS if key in report})
     meta["gdd"] = system.gdd
 

@@ -190,17 +190,13 @@ def _rfftn(x: np.ndarray) -> np.ndarray:
     return F
 
 
-def _irfftn(X: np.ndarray, shape, overwrite: bool = False) -> np.ndarray:
+def _irfftn(X: np.ndarray, shape) -> np.ndarray:
     """np.fft.irfftn(X, s=shape), bit for bit: the inverse complex FFT on
-    every axis but the last, first to last, then the inverse real FFT.
-    With overwrite the complex passes run in place on X, which the caller
-    owns and no longer needs; else X is left as it was."""
-    if len(shape) > 1:
-        work = X if overwrite else np.empty_like(X)
-        _fft_pass(np.fft.ifft, X, work, 0, shape[0])
-        for axis in range(1, len(shape) - 1):
-            _fft_pass(np.fft.ifft, work, work, axis, shape[axis])
-        X = work
+    every axis but the last, first to last, then the inverse real FFT.  The
+    complex passes run in place on X, which the caller owns and no longer
+    needs."""
+    for axis in range(len(shape) - 1):
+        _fft_pass(np.fft.ifft, X, X, axis, shape[axis])
     out = np.empty(shape)
     _fft_pass(np.fft.irfft, X, out, len(shape) - 1, shape[-1])
     return out
@@ -227,7 +223,7 @@ def _eigenbasis(system: FdmSystem):
         shape = (2 * p.n,) * p.d
         half = sum(along(lam[:p.n + 1] if j == p.d - 1 else lam, j, p.d) for j in range(p.d))
         return (lambda x: _rfftn(np.reshape(x, shape)),
-                lambda X: _irfftn(X, shape, overwrite=True).reshape(-1), half, p.d > 1)
+                lambda X: _irfftn(X, shape).reshape(-1), half, p.d > 1)
 
     def sector(cube, inverse):
         for axis in range(p.d):

@@ -2,11 +2,11 @@
 
 solve_system runs right-preconditioned GMRES on the sparse L, a restarted
 GMRES of its own (Saad and Schultz 1986) with classical Gram-Schmidt done
-twice, from an inverse read off the closed 1D block B the system stores:
-L^-1 itself by substitution for the Fourier block, so GMRES takes no step,
-and for the Chebyshev one the inverse of L's pure part in the form
-tensor.kron_sum_solver names.  No global factorization is formed.  Every
-solve certifies its residual on L itself.
+twice, from the inverse spectral_system.block_inverse reads off the closed
+1D block B the system stores: L^-1 itself by substitution for the Fourier
+block, so GMRES takes no step, and for the Chebyshev one the inverse of L's
+pure part in the form tensor.kron_sum_solver names.  No global
+factorization is formed.  Every solve certifies its residual on L itself.
 
 Node conventions (per axis, N = n + 1 points):
   fourier    x_l = 2l/N - 1,            basis functions e^{i pi (k - m) x},
@@ -32,9 +32,8 @@ import numpy as np
 from .errors import ConvergenceFailure, ParameterError
 from .expressions import builtin_expression
 from .spectral_ops import BASES
-from .spectral_system import (SpectralSystem, assemble_system, closure_levels,
-                              condition_report)
-from .tensor import along, kron_sum_solver
+from .spectral_system import SpectralSystem, assemble_system, block_inverse, condition_report
+from .tensor import along
 from .transforms import endpoint_weights, qct_apply, qsft_apply
 
 __all__ = [
@@ -164,12 +163,13 @@ GMRES_AIM = 1e-2     # GMRES aims this far below the certified tolerance
 def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
     """Right-preconditioned GMRES on the sparse L with a relative-residual certificate.
 
-    The preconditioner M is read off the system's closed block B (_inverse).
-    GMRES (_gmres_cycle) starts from M b and restarts from the true residual
-    while that falls and stays above GMRES_AIM * tol.  A substitution lands
-    below that aim and takes no step.  When L is the pure part (diagonal A,
-    "axes" closure) M takes at most a step or two; mixed terms are
-    corrections GMRES absorbs, at any d.  The certificate
+    The preconditioner M and its name come from spectral_system.block_inverse,
+    the one reading of the system's closed block B.  GMRES (_gmres_cycle)
+    starts from M b and restarts from the true residual while that falls and
+    stays above GMRES_AIM * tol.  A substitution lands below that aim and
+    takes no step.  When a Chebyshev L is its pure part (diagonal A) M takes
+    at most a step or two; mixed terms are corrections GMRES absorbs, at any
+    d.  The certificate
     ||L c - b|| / max(||b||, 1) <= tol is computed on the sparse L, never
     through M; a solve that stops above tol, or whose M is singular, raises
     ConvergenceFailure.
@@ -177,7 +177,7 @@ def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
     L = system.L
     rhs = np.asarray(system.rhs)
     try:
-        precond, method = _inverse(system)
+        precond, _, method = block_inverse(system)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"no preconditioner for L: {exc}", residual=math.inf) from exc
     denom = max(float(np.linalg.norm(rhs)), 1.0)
@@ -201,38 +201,6 @@ def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
             residual=residual)
     return SolveResult(system=system, coeffs=c, residual=residual, iterations=steps,
                        preconditioner=method, restarts=max(cycles - 1, 0))
-
-
-def _inverse(system: SpectralSystem):
-    """The map x -> M x the solve starts from, and its name, read off the closed block B.
-
-    When every off-diagonal entry of B runs from a closure row to an open
-    column, every one of L runs from a row with more closure axes to a column
-    with fewer (such a basis has diagonal mixed terms; the point/pin row is
-    the top level's only row), and M is L^-1 by substitution: the rows with
-    no closure axis hold only their pivot, then sweep k = 1..d takes the CSR
-    rows with k closure axes, subtracts their action on the levels solved
-    and divides by the pivots, raising numpy.linalg.LinAlgError on a zero
-    one.  Otherwise kron_sum_solver inverts L's pure part.
-    """
-    B, L = system.block.tocoo(), system.L
-    closed = closure_levels(system.basis, system.n, 1)
-    off = (B.row != B.col) & (B.data != 0)
-    if not closed[B.row[off]].all() or closed[B.col[off]].any():
-        return kron_sum_solver(system.block, np.diag(system.A))
-    level = closure_levels(system.basis, system.n, system.d)
-    pivots = L.diagonal()
-    if np.abs(pivots).min() <= system.d * np.finfo(float).eps * np.abs(pivots).max():
-        raise np.linalg.LinAlgError("L is singular to rounding: a pivot is zero")
-    sweeps = [(rows, L[rows], pivots[rows])
-              for rows in (np.flatnonzero(level == k) for k in range(1, system.d + 1))]
-
-    def solve(b):
-        c = np.where(level == 0, b / pivots, 0)
-        for rows, part, diag in sweeps:
-            c[rows] = (b[rows] - part @ c) / diag  # the unsolved entries of c are still 0
-        return c
-    return solve, "substitution"
 
 
 def _gmres_cycle(apply, r: np.ndarray, atol: float, restart: int) -> tuple[np.ndarray, int]:

@@ -16,8 +16,9 @@ and row n-1 alternates (-1)^k (value at -1).
 Storage is sparse: the Fourier matrices are diagonal apart from one closure
 row, the Chebyshev ones keep the parity-structured triangle.  Closure rows
 enter as COO entries; the closed block is the one 1D object the spectral
-path lifts (tensor.kron_sum) and reads its inverse off (solver.solve_system:
-substitution for the Fourier block, tensor.kron_sum_solver for Chebyshev).
+path lifts (tensor.kron_sum) and reads its inverse off
+(spectral_system.block_inverse: substitution for the Fourier block,
+tensor.kron_sum_solver for Chebyshev).
 """
 
 from __future__ import annotations
@@ -38,14 +39,18 @@ __all__ = [
 
 BASES = ("fourier", "chebyshev")
 SYSTEM_BUDGET = 1 << 17  # max rows of an assembled operator (storage is sparse)
-NNZ_BUDGET = 1 << 24  # max stored nonzeros of one assembled mixed term
-DENSE_LIMIT = 4096  # max rows of an operator given a condition report (Lanczos on it and its inverse)
+NNZ_BUDGET = 1 << 24  # max stored nonzeros of one assembled mixed term or Chebyshev 1D block
+DENSE_LIMIT = 4096  # max rows of L given a condition report, and of B given min_eig_sum's eig
 
 
 def _cheb_pairs(n: int, offset: int):
     """(k, r, sigma_k) over r >= k + offset with k + r of offset's parity, row-major."""
-    # row k holds r = k + offset, k + offset + 2, ..., up to n
+    # row k holds r = k + offset, k + offset + 2, ..., up to n: about n^2/4 pairs in all,
+    # counted before they are built
     counts = np.maximum((n - offset - np.arange(n + 1)) // 2 + 1, 0)
+    if counts.sum() > NNZ_BUDGET:
+        raise BudgetExceeded(f"Chebyshev block of {counts.sum()} entries exceeds "
+                             f"NNZ_BUDGET={NNZ_BUDGET}")
     k = np.repeat(np.arange(n + 1), counts)
     first = np.cumsum(counts) - counts
     r = k + offset + 2 * (np.arange(k.size) - np.repeat(first, counts))
@@ -72,7 +77,8 @@ def diff_matrix(basis: str, order: int, n: int, with_boundary_rows: bool = False
     """Differentiation matrix of the given order, optionally closed.
 
     Closure rows are only defined for the second-order operator; asking for
-    them at order 1 is rejected.
+    them at order 1 is rejected.  A Chebyshev matrix of more than NNZ_BUDGET
+    stored entries (n above about 8,190) raises BudgetExceeded before it is built.
     """
     if basis not in BASES:
         raise ParameterError(f"basis must be one of {BASES}, got {basis!r}")

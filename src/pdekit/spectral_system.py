@@ -6,7 +6,7 @@ where Dbar^(j) places the closed second-derivative block B on axis j and the
 mixed terms place two first-derivative matrices.  The pure part is the
 Kronecker sum of the weighted blocks A_jj B.  B is diff_matrix(basis, 2, n,
 with_boundary_rows=True), built once per system and stored on it as block:
-the solver reads its inverse off it, and min_eig_sum its spectrum.
+block_inverse reads the system's inverse off it, and min_eig_sum its spectrum.
 
 Boundary data rides the closure rows: for Chebyshev, rows with k_j = n carry
 the +1 face of axis j and rows with k_j = n-1 the -1 face; for Fourier
@@ -25,6 +25,8 @@ right-hand side does.
 Closure variants for the periodic basis: "axes" (default, one mean-value row
 per axis, mirroring the Chebyshev structure), "point" (a single all-ones row
 pinning the value at the origin node), "pin" (pin one coefficient directly).
+Under "point" and "pin" the pure part sums the open block
+diff_matrix(basis, 2, n), so every row but the centre one holds the PDE.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import scipy.sparse as sp
 from .errors import BudgetExceeded, DegenerateRhs, ParameterError
 from .spectral_ops import (BASES, DENSE_LIMIT, SYSTEM_BUDGET, boundary_row_indices, diff_matrix,
                            gdd_check, multi_diff)
-from .tensor import _eig_inverse, axis_sum, kron_sum
+from .tensor import axis_sum, kron_sum, kron_sum_solver, require_nonsingular
 
 __all__ = [
     "choose_truncation",
@@ -47,6 +49,7 @@ __all__ = [
     "SpectralSystem",
     "assemble_system",
     "closure_levels",
+    "block_inverse",
     "state_prep_q",
     "min_eig_sum",
     "condition_report",
@@ -125,7 +128,7 @@ def embed_boundary(basis: str, n: int, d: int, axis: int, side: str, coeffs) -> 
 
 @dataclass
 class SpectralSystem:
-    """An assembled L c = b system, its closed 1D block B, and the scalars the analysis tracks."""
+    """An assembled L c = b system, its closed 1D block B under every closure, and its scalars."""
 
     basis: str
     n: int
@@ -199,7 +202,8 @@ def assemble_system(A, basis: str, n: int, fhat, boundary=None,
                 term = w * multi_diff(pat, basis, n, d)
                 mixed = term if mixed is None else mixed + term
     B = diff_matrix(basis, 2, n, with_boundary_rows=True)
-    L = kron_sum([A[j, j] * B for j in range(d)])
+    pure = B if closure == "axes" else diff_matrix(basis, 2, n)
+    L = kron_sum([A[j, j] * pure for j in range(d)])
     if mixed is not None:
         if basis == "chebyshev":
             # constraint rows must stay exact; the mixed action enters interior rows only
@@ -276,7 +280,11 @@ def min_eig_sum(system) -> float:
     These sums are the eigenvalues of the pure part kron_sum(A_jj B), so a
     small value flags a nearly singular operator without assembling or
     factoring anything: one eigenvalue solve of B and an O(N^d) broadcast.
+    Under "point"/"pin", whose L sums the open block, it describes the
+    "axes" operator.  B above DENSE_LIMIT rows raises BudgetExceeded.
     """
+    if system.block.shape[0] > DENSE_LIMIT:
+        raise BudgetExceeded(f"min_eig_sum of {system.block.shape[0]} rows exceeds DENSE_LIMIT")
     lam = np.linalg.eigvals(system.block.toarray())
     d = system.d
     return float(np.abs(axis_sum([system.A[j, j] * lam for j in range(d)], d)).min())
@@ -308,41 +316,70 @@ def _sigma_max(op) -> float:
     return float(spla.svds(op, k=1, tol=0, v0=v0, return_singular_vectors=False)[0])
 
 
-def _pure_inverse(system):
-    """K^-1 and K^-H as per-axis maps when L is its pure part K = kron_sum([A_jj B]), else None.
+def block_inverse(system: SpectralSystem):
+    """x -> M x, x -> M^H x or None, and M's form: the one reading of the closed block B.
 
-    It takes d >= 2 axes, the "axes" closure and a diagonal A (checked
-    first, before K is built), and L's stored entries equal to K's, checked
-    entry by entry: a caller may replace L.  None also when the eigenbasis
-    of B is refused (see tensor._eig_inverse); one axis keeps the sparse LU,
-    as kron_sum_solver does.
+    When every off-diagonal entry of B runs from a closure row to an open
+    column, every one of L runs from a row with more closure axes to a column
+    with fewer (such a basis has diagonal mixed terms; the point/pin row is
+    the top level's only row), and M is L^-1 by substitution, no adjoint:
+    the rows with no closure axis hold only their pivot, then sweep k = 1..d
+    takes the CSR rows with k closure axes, subtracts their action on the
+    levels solved and divides by the pivots.  Otherwise M inverts L's pure
+    part kron_sum([A_jj B]) in the form tensor.kron_sum_solver names.  A
+    singular or refused M raises numpy.linalg.LinAlgError.
+    """
+    B, L = system.block.tocoo(), system.L
+    closed = closure_levels(system.basis, system.n, 1)
+    off = (B.row != B.col) & (B.data != 0)
+    if not closed[B.row[off]].all() or closed[B.col[off]].any():
+        return kron_sum_solver(system.block, np.diag(system.A))
+    level = closure_levels(system.basis, system.n, system.d)
+    pivots = L.diagonal()
+    require_nonsingular(pivots, system.d, "L")
+    sweeps = [(rows, L[rows], pivots[rows])
+              for rows in (np.flatnonzero(level == k) for k in range(1, system.d + 1))]
+
+    def solve(b):
+        c = np.where(level == 0, b / pivots, 0)
+        for rows, part, diag in sweeps:
+            c[rows] = (b[rows] - part @ c) / diag  # the unsolved entries of c are still 0
+        return c
+    return solve, None, "substitution"
+
+
+def _pure_inverse(system):
+    """K^-1 and K^-H when block_inverse's "eig" form inverts L itself, else None.
+
+    That takes a diagonal A (checked first) and L's stored entries equal to
+    those of its pure part K = kron_sum([A_jj B]), checked entry by entry: a
+    caller may replace L.
     """
     A = system.A
-    if system.d < 2 or system.closure != "axes" or np.count_nonzero(A - np.diag(np.diag(A))):
-        return None
-    weights = np.diag(A)
-    K = kron_sum([w * system.block for w in weights])
-    if (K != system.L).nnz:
+    if np.count_nonzero(A - np.diag(np.diag(A))):
         return None
     try:
-        return _eig_inverse(system.block, weights)
+        inverse, adjoint, form = block_inverse(system)
     except np.linalg.LinAlgError:
         return None
+    if form != "eig" or (kron_sum([w * system.block for w in np.diag(A)]) != system.L).nnz:
+        return None
+    return inverse, adjoint
 
 
 def condition_report(system) -> dict:
     """Extreme singular values of L, and the bounds they are measured against.
 
     sigma_max comes from Lanczos on the sparse L, sigma_min = 1 / ||L^-1||_2
-    from Lanczos on L^-1; L is never made dense.  When L is its pure part
-    kron_sum([A_jj B]) (d >= 2, diagonal A, "axes" closure), L^-1 and L^-H
-    are per-axis maps through one eigendecomposition of B ("lanczos-eig",
-    no factor: lu_nnz None).  Otherwise, and wherever that eigenbasis is
-    refused, they come from one sparse LU of L in its natural order, the
-    least fill on these operators ("lanczos-splu", lu_nnz the factor's
-    stored entries).  An exactly singular factor reads sigma_min = 0,
-    kappa = inf and lu_nnz None.  method names the estimator.  Systems above
-    DENSE_LIMIT rows raise BudgetExceeded.
+    from Lanczos on L^-1; L is never made dense.  When the solve's inverse
+    (block_inverse) takes the "eig" form and L equals its pure part
+    kron_sum([A_jj B]), L^-1 and L^-H are that form's per-axis maps
+    ("lanczos-eig", lu_nnz None).  Otherwise they come from one sparse LU of
+    L in its natural order, the least fill on these operators
+    ("lanczos-splu", lu_nnz the factor's stored entries).  An exactly
+    singular factor reads sigma_min = 0, kappa = inf and lu_nnz None.
+    method names the estimator.  Systems above DENSE_LIMIT rows raise
+    BudgetExceeded.
     bound_poisson is (2n)^4; bound_general scales it by
     norm_sigma / (C * norm_star) when the operator is GDD-accepted.
     min_eig_sum is the near-singularity indicator of the pure part (see

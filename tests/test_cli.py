@@ -172,7 +172,8 @@ class TestSolveSpectral:
         assert meta["iterations"] == 0 and meta["restarts"] == 0
 
     def test_no_kappa_above_dense_limit(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(spectral_system, "DENSE_LIMIT", 16)
+        # between B's 17 rows and L's 289: the report is refused, the indicator kept
+        monkeypatch.setattr(spectral_system, "DENSE_LIMIT", 64)
         assert main(["solve", "--example", "poisson-2d-cheb",
                      "--out", str(tmp_path)]) == 0
         capsys.readouterr()
@@ -182,17 +183,20 @@ class TestSolveSpectral:
         # the near-singularity indicator needs no condition report
         assert meta["min_eig_sum"] > 0.0
 
-    @pytest.mark.parametrize("limit", [4096, 16])
+    @pytest.mark.parametrize("limit", [4096, 64, 16])
     def test_one_near_singularity_indicator_per_solve(self, tmp_path, capsys, monkeypatch,
                                                       limit):
-        # min_eig_sum's eigenvalue solve runs once, in the report or without it
+        # min_eig_sum's eigenvalue solve runs once, in the report or without it, and not
+        # at all once B's 17 rows are above the limit: then metadata omits the key
         monkeypatch.setattr(spectral_system, "DENSE_LIMIT", limit)
         calls = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(M.shape) or eigvals(M))
         assert main(["solve", "--example", "poisson-2d-cheb", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        assert calls == [(17, 17)]
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert calls == ([(17, 17)] if limit >= 17 else [])
+        assert ("min_eig_sum" in meta) == (limit >= 17) and meta["residual"] < 1e-10
 
     @pytest.mark.parametrize("spec", [
         {"method": "spectral", "basis": "chebyshev", "d": 2, "n": 16, "solution": "exp-sin"},

@@ -1,5 +1,7 @@
 """Collocation differentiation matrices and the diagonal-dominance check."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
 import pytest
@@ -170,6 +172,25 @@ def test_multi_diff_nnz_is_predicted(basis, n, d, monkeypatch):
     monkeypatch.setattr(spectral_ops, "NNZ_BUDGET", want - 1)
     with pytest.raises(BudgetExceeded, match=f"{want} nonzeros"):
         multi_diff((1, 1) + (0,) * (d - 2), basis, n, d)
+
+
+def test_chebyshev_block_over_nnz_budget_is_refused_before_it_is_built(monkeypatch):
+    # about n^2/4 = 2.0e7 entries at n = 9000: counted, not allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="NNZ_BUDGET"):
+            diff_matrix("chebyshev", 2, 9000, with_boundary_rows=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the budget bounds the open block's entries exactly
+    want = diff_matrix("chebyshev", 2, 40).nnz
+    monkeypatch.setattr(spectral_ops, "NNZ_BUDGET", want)
+    assert diff_matrix("chebyshev", 2, 40).nnz == want
+    monkeypatch.setattr(spectral_ops, "NNZ_BUDGET", want - 1)
+    with pytest.raises(BudgetExceeded, match=f"{want} entries"):
+        diff_matrix("chebyshev", 2, 40)
 
 
 def test_multi_diff_returns_csr():

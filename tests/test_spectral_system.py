@@ -151,8 +151,8 @@ def test_assembled_operator_matches_dense_formula(basis, d, n, seed, data):
 
 def fold_operator(A, basis, n, closure="axes"):
     """L as the fold-based assembly built it, kept as assemble_system's oracle: the
-    pure part an sp.kronsum fold, the Chebyshev mixed terms masked by a diagonal
-    product and the point/pin row set by a second one."""
+    pure part an sp.kronsum fold (of the open block under point/pin), the Chebyshev
+    mixed terms masked by a diagonal product and the point/pin row set by a second one."""
     d, N = A.shape[0], n + 1
     closed = np.isin(np.arange(N), boundary_row_indices(basis, n))
     closed = sum(np.reshape(closed, [-1 if a == j else 1 for a in range(d)])
@@ -163,7 +163,7 @@ def fold_operator(A, basis, n, closure="axes"):
         if w != 0:
             term = w * multi_diff([int(a in (j1, j2)) for a in range(d)], basis, n, d)
             mixed = term if mixed is None else mixed + term
-    B = diff_matrix(basis, 2, n, with_boundary_rows=True)
+    B = diff_matrix(basis, 2, n, with_boundary_rows=closure == "axes")
     blocks = [A[j, j] * B for j in range(d)]
     L = reduce(lambda acc, b: sp.kronsum(b, acc, format="csr"), blocks[1:],
                sp.csr_matrix(blocks[0]))
@@ -461,13 +461,12 @@ def test_condition_report_needs_no_dense_svd(monkeypatch):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(st.sampled_from(["fourier", "chebyshev"]), st.integers(2, 3), st.integers(0, 2 ** 32 - 1),
-       st.data())
-def test_pure_part_reports_from_the_eigenbasis(basis, d, seed, data):
-    # L = kron_sum([A_jj B]): L^-1 and L^-H run through one eig of B, with no sparse LU
+@given(st.integers(2, 3), st.integers(0, 2 ** 32 - 1), st.data())
+def test_pure_part_reports_from_the_eigenbasis(d, seed, data):
+    # a Chebyshev L = kron_sum([A_jj B]): L^-1 and L^-H are the solve's own eig form
     n = data.draw(st.integers(2, (12, 6)[d - 2]))
     A = np.diag(np.random.default_rng(seed).uniform(0.5, 2.0, size=d))
-    system = assemble_system(A, basis, n, np.zeros((n + 1) ** d))
+    system = assemble_system(A, "chebyshev", n, np.zeros((n + 1) ** d))
     want = dense_singular_values(system)
     rep = condition_report(system)
     assert rep["method"] == "lanczos-eig" and rep["lu_nnz"] is None
@@ -487,6 +486,8 @@ def splu_cases():
         "pin": assemble_system(np.diag([1.0, 1.5]), "fourier", 6, np.zeros(49), closure="pin"),
         "d1-fourier": assemble_system(np.diag([1.3]), "fourier", 8, np.zeros(9)),
         "d1-chebyshev": assemble_system(np.diag([1.3]), "chebyshev", 8, np.zeros(9)),
+        # the solve takes the substitution, so the report keeps the sparse LU
+        "fourier-diagonal": assemble_system(np.diag([1.0, 1.5]), "fourier", 8, np.zeros(81)),
         "replaced-L": replaced,
     }
 
@@ -552,6 +553,16 @@ def test_min_eig_sum_is_the_smallest_eigenvalue_of_the_pure_part(basis, n, d):
 def test_system_stores_the_closed_block_it_is_built_from(system):
     want = diff_matrix(system.basis, 2, system.n, with_boundary_rows=True)
     assert_same_csr(system.block, want)
+
+
+def test_min_eig_sum_refuses_a_block_above_dense_limit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigvals called")
+    system = assemble_system(np.eye(1), "chebyshev", 6, np.zeros(7))
+    monkeypatch.setattr(spectral_system, "DENSE_LIMIT", 6)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    with pytest.raises(BudgetExceeded, match="7 rows"):
+        min_eig_sum(system)
 
 
 def test_condition_report_carries_min_eig_sum():

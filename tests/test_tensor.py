@@ -22,7 +22,7 @@ from pdekit.laplacian import eigenvalues_1d
 from pdekit.solver import analyze_values, synthesize_nodes
 from pdekit.spectral_ops import diff_matrix, multi_diff
 from pdekit.stencil import make_stencil
-from pdekit.tensor import _eig_inverse, axis_sum, kron, kron_sum, kron_sum_apply, kron_sum_solver
+from pdekit.tensor import axis_sum, kron, kron_sum, kron_sum_apply, kron_sum_solver
 from pdekit.transforms import (endpoint_weights, qct_matrix, qsft_apply, qsft_matrix,
                                sector_apply)
 
@@ -191,9 +191,9 @@ def test_kron_sum_solver_matches_sparse_solve(d, size, complex_block, complex_x,
     weights = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0, size=d)
     x = rng.normal(size=size ** d) + (1j * rng.normal(size=size ** d) if complex_x else 0)
     want = spla.spsolve(kron_sum([w * block for w in weights]).tocsc(), x)
-    solve, form = kron_sum_solver(block, weights)
+    solve, adjoint, form = kron_sum_solver(block, weights)
     got = solve(x)
-    assert form == ("splu" if d == 1 else "eig")
+    assert form == ("splu" if d == 1 else "eig") and (adjoint is None) == (d == 1)
     assert np.iscomplexobj(got) == (complex_block or complex_x)
     assert np.allclose(got, want, rtol=0, atol=1e-12 * np.linalg.norm(want))
 
@@ -203,7 +203,7 @@ def test_kron_sum_solver_matches_sparse_solve(d, size, complex_block, complex_x,
        st.integers(0, 2 ** 32 - 1))
 def test_eigenbasis_inverse_and_its_adjoint_match_sparse_solves(d, size, complex_block,
                                                                complex_x, seed):
-    # the "eig" form's two maps: K^-1 is kron_sum_solver's own, bit for bit; K^-H solves K^H
+    # the "eig" form's two maps: K^-1 solves K and K^-H solves K^H
     rng = np.random.default_rng(seed)
     shape = (size, size)
     block = sp.csr_matrix(rng.normal(size=shape) + 3 * size * np.eye(size)
@@ -211,8 +211,8 @@ def test_eigenbasis_inverse_and_its_adjoint_match_sparse_solves(d, size, complex
     weights = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0, size=d)
     x = rng.normal(size=size ** d) + (1j * rng.normal(size=size ** d) if complex_x else 0)
     K = kron_sum([w * block for w in weights]).tocsc()
-    inverse, adjoint = _eig_inverse(block, weights)
-    assert inverse(x).tobytes() == kron_sum_solver(block, weights)[0](x).tobytes()
+    inverse, adjoint, form = kron_sum_solver(block, weights)
+    assert form == "eig"
     for got, want in ((inverse(x), spla.spsolve(K, x)),
                       (adjoint(x), spla.spsolve(K.conj().T.tocsc(), x))):
         assert np.iscomplexobj(got) == (complex_block or complex_x)
@@ -239,7 +239,7 @@ def test_closed_form_is_read_off_a_one_row_block(d, size, complex_block, seed):
     weights = rng.uniform(0.5, 2.0, size=d)
     x = rng.normal(size=size ** d)
     want = spla.spsolve(kron_sum([w * block for w in weights]).tocsc(), x)
-    solve, form = kron_sum_solver(block, weights)
+    solve, _, form = kron_sum_solver(block, weights)
     assert form == ("splu" if d == 1 else "eig")
     assert np.linalg.norm(solve(x) - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -308,7 +308,7 @@ def test_a_zero_gap_refuses_the_closed_form(d):
     # came out 5.7% wrong at d = 2 and 53% at d = 3), so that form refuses it
     B = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
     if d == 1:
-        solve, form = kron_sum_solver(B, [1.5])
+        solve, _, form = kron_sum_solver(B, [1.5])
         assert form == "splu"
         assert np.allclose(B @ solve(np.array([1.0, 2.0])) * 1.5, [1.0, 2.0], rtol=0, atol=1e-15)
     else:
@@ -321,7 +321,7 @@ def test_closed_chebyshev_blocks_keep_eig(n):
     # eps ||V||_1 ||V^-1||_1 reads 1.7e-11 at n = 64 and 7.8e-9 at n = 361, the largest
     # d = 2 size under SYSTEM_BUDGET: every closed Chebyshev block stays far below the limit
     B = diff_matrix("chebyshev", 2, n, with_boundary_rows=True)
-    solve, form = kron_sum_solver(B, [1.0, 1.5])
+    solve, _, form = kron_sum_solver(B, [1.0, 1.5])
     assert form == "eig"
     if n == 64:
         x = np.random.default_rng(n).normal(size=(n + 1) ** 2)
