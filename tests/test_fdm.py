@@ -420,7 +420,6 @@ class TestSlabFFT:
     @given(st.lists(st.integers(1, 12), min_size=1, max_size=3), st.sampled_from([1, MANY]),
            st.integers(0, 2 ** 32 - 1))
     def test_pair_matches_numpy_bit_for_bit(self, shape, cpus, seed):
-        # the inverse runs its complex passes in the buffer it is handed
         rng = np.random.default_rng(seed)
         x = rng.normal(size=shape)
         size = np.fft.rfftn(x).shape
@@ -529,6 +528,18 @@ class TestPeriodicPasses:
         want = hexes(oracle_errors(field.values, kept))
         assert hexes(from_array) == want and hexes(from_callable) == want
         assert exact.tobytes() == kept.tobytes()
+
+    @BOUNDED
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=3), st.sampled_from([1, MANY]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_inverse_in_its_own_buffer_keeps_numpys_bits(self, shape, cpus, seed):
+        # the inverse runs its complex passes in the buffer it is handed
+        rng = np.random.default_rng(seed)
+        size = np.fft.rfftn(np.zeros(shape)).shape
+        X = rng.normal(size=size) + 1j * rng.normal(size=size)
+        want = np.fft.irfftn(X, s=shape, axes=tuple(range(len(shape))))
+        with mock.patch.object(fdm, "_cpus", lambda: cpus):
+            assert np.array_equal(fdm._irfftn(X, tuple(shape)), want)
 
     @BOUNDED
     @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.sampled_from([1, MANY]),
