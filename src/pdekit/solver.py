@@ -2,7 +2,7 @@
 
 solve_system runs right-preconditioned GMRES on the sparse L, a restarted
 GMRES of its own (Saad and Schultz 1986) with classical Gram-Schmidt done
-twice, from the inverse spectral_system.block_inverse reads off the closed
+twice, from the inverse SpectralSystem.inverse reads once off the closed
 1D block B the system stores: L^-1 itself by substitution for the Fourier
 block, so GMRES takes no step, and for the Chebyshev one the inverse of L's
 pure part in the form tensor.kron_sum_solver names.  No global
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConvergenceFailure, ParameterError
 from .expressions import builtin_expression
 from .spectral_ops import BASES
-from .spectral_system import SpectralSystem, assemble_system, block_inverse, condition_report
+from .spectral_system import SpectralSystem, assemble_system, condition_report
 from .tensor import along
 from .transforms import endpoint_weights, qct_apply, qsft_apply
 
@@ -163,13 +163,13 @@ GMRES_AIM = 1e-2     # GMRES aims this far below the certified tolerance
 def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
     """Right-preconditioned GMRES on the sparse L with a relative-residual certificate.
 
-    The preconditioner M and its name come from spectral_system.block_inverse,
-    the one reading of the system's closed block B.  GMRES (_gmres_cycle)
-    starts from M b and restarts from the true residual while that falls and
-    stays above GMRES_AIM * tol.  A substitution lands below that aim and
-    takes no step.  When a Chebyshev L is its pure part (diagonal A) M takes
-    at most a step or two; mixed terms are corrections GMRES absorbs, at any
-    d.  The certificate
+    The preconditioner M and its name come from system.inverse, the one
+    reading of the system's closed block B, shared with its condition
+    report.  GMRES (_gmres_cycle) starts from M b and restarts from the true
+    residual while that falls and stays above GMRES_AIM * tol.  A
+    substitution lands below that aim and takes no step.  When a Chebyshev L
+    is its pure part (diagonal A) M takes at most a step or two; mixed terms
+    are corrections GMRES absorbs, at any d.  The certificate
     ||L c - b|| / max(||b||, 1) <= tol is computed on the sparse L, never
     through M; a solve that stops above tol, or whose M is singular, raises
     ConvergenceFailure.
@@ -177,7 +177,7 @@ def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
     L = system.L
     rhs = np.asarray(system.rhs)
     try:
-        precond, _, method = block_inverse(system)
+        precond, _, method, _ = system.inverse
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"no preconditioner for L: {exc}", residual=math.inf) from exc
     denom = max(float(np.linalg.norm(rhs)), 1.0)

@@ -40,7 +40,7 @@ __all__ = [
 BASES = ("fourier", "chebyshev")
 SYSTEM_BUDGET = 1 << 17  # max rows of an assembled operator (storage is sparse)
 NNZ_BUDGET = 1 << 24  # max stored nonzeros of one assembled mixed term or Chebyshev 1D block
-DENSE_LIMIT = 4096  # max rows of L given a condition report, and of B given min_eig_sum's eig
+DENSE_LIMIT = 4096  # max rows of L given a condition report, and of B given min_eig_sum's eigvals
 
 
 def _cheb_pairs(n: int, offset: int):

@@ -6,7 +6,7 @@ where Dbar^(j) places the closed second-derivative block B on axis j and the
 mixed terms place two first-derivative matrices.  The pure part is the
 Kronecker sum of the weighted blocks A_jj B.  B is diff_matrix(basis, 2, n,
 with_boundary_rows=True), built once per system and stored on it as block:
-block_inverse reads the system's inverse off it, and min_eig_sum its spectrum.
+SpectralSystem.inverse reads the system's inverse and its spectrum off it once.
 
 Boundary data rides the closure rows: for Chebyshev, rows with k_j = n carry
 the +1 face of axis j and rows with k_j = n-1 the -1 face; for Fourier
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +41,7 @@ import scipy.sparse as sp
 from .errors import BudgetExceeded, DegenerateRhs, ParameterError
 from .spectral_ops import (BASES, DENSE_LIMIT, SYSTEM_BUDGET, boundary_row_indices, diff_matrix,
                            gdd_check, multi_diff)
-from .tensor import axis_sum, kron_sum, kron_sum_solver, require_nonsingular
+from .tensor import SingularToRounding, axis_sum, kron_sum, kron_sum_solver, require_nonsingular
 
 __all__ = [
     "choose_truncation",
@@ -128,7 +129,15 @@ def embed_boundary(basis: str, n: int, d: int, axis: int, side: str, coeffs) -> 
 
 @dataclass
 class SpectralSystem:
-    """An assembled L c = b system, its closed 1D block B under every closure, and its scalars."""
+    """An assembled L c = b system, its closed 1D block B under every closure, and its scalars.
+
+    inverse is block_inverse(self), kept from the first read (a refusal is
+    raised anew on each read) and read by the solve, condition_report and
+    min_eig_sum; dataclasses.replace starts afresh.  An L assigned after the
+    first read keeps the old L's inverse: certificates are computed on the
+    new L, and condition_report checks its entries.  A system whose inverse
+    was read holds closures, so it cannot be pickled.
+    """
 
     basis: str
     n: int
@@ -144,6 +153,10 @@ class SpectralSystem:
     @property
     def size(self) -> int:
         return (self.n + 1) ** self.d
+
+    @cached_property
+    def inverse(self):
+        return block_inverse(self)
 
 
 def closure_levels(basis: str, n: int, d: int) -> np.ndarray:
@@ -275,19 +288,25 @@ def state_prep_q(fhat, weighted_plus, weighted_minus=None):
 
 
 def min_eig_sum(system) -> float:
-    """min |sum_j A_jj lam_j| over the eigenvalues lam of the system's closed block B.
+    """min |lam| over the spectrum the system's inverse divides by: a near-singularity flag.
 
-    These sums are the eigenvalues of the pure part kron_sum(A_jj B), so a
-    small value flags a nearly singular operator without assembling or
-    factoring anything: one eigenvalue solve of B and an O(N^d) broadcast.
-    Under "point"/"pin", whose L sums the open block, it describes the
-    "axes" operator.  B above DENSE_LIMIT rows raises BudgetExceeded.
+    That is L's own spectrum for Fourier (the substitution's pivots) and the
+    pure part's, sum_j A_jj lam_j over the eigenvalues lam of B, for
+    Chebyshev.  Where the inverse has none (one axis) or is refused, one
+    eigenvalue solve of B gives the latter; B above DENSE_LIMIT rows raises
+    BudgetExceeded.
     """
-    if system.block.shape[0] > DENSE_LIMIT:
-        raise BudgetExceeded(f"min_eig_sum of {system.block.shape[0]} rows exceeds DENSE_LIMIT")
-    lam = np.linalg.eigvals(system.block.toarray())
-    d = system.d
-    return float(np.abs(axis_sum([system.A[j, j] * lam for j in range(d)], d)).min())
+    try:
+        spectrum = system.inverse[3]
+    except np.linalg.LinAlgError:
+        spectrum = None
+    if spectrum is None:
+        if system.block.shape[0] > DENSE_LIMIT:
+            raise BudgetExceeded(
+                f"min_eig_sum of {system.block.shape[0]} rows exceeds DENSE_LIMIT")
+        lam = np.linalg.eigvals(system.block.toarray())
+        spectrum = axis_sum([system.A[j, j] * lam for j in range(system.d)], system.d)
+    return float(np.abs(spectrum).min())
 
 
 def _sigma_max(op) -> float:
@@ -317,26 +336,33 @@ def _sigma_max(op) -> float:
 
 
 def block_inverse(system: SpectralSystem):
-    """x -> M x, x -> M^H x or None, and M's form: the one reading of the closed block B.
+    """x -> M x, x -> M^H x or None, M's form and the read-only spectrum M divides by, or None.
 
     When every off-diagonal entry of B runs from a closure row to an open
     column, every one of L runs from a row with more closure axes to a column
     with fewer (such a basis has diagonal mixed terms; the point/pin row is
-    the top level's only row), and M is L^-1 by substitution, no adjoint:
-    the rows with no closure axis hold only their pivot, then sweep k = 1..d
-    takes the CSR rows with k closure axes, subtracts their action on the
-    levels solved and divides by the pivots.  Otherwise M inverts L's pure
-    part kron_sum([A_jj B]) in the form tensor.kron_sum_solver names.  A
-    singular or refused M raises numpy.linalg.LinAlgError.
+    the top level's only row), and M is L^-1 by substitution, no adjoint,
+    dividing by L's pivots, its eigenvalues: the rows with no closure axis
+    hold only their pivot, then sweep k = 1..d takes the CSR rows with k
+    closure axes, subtracts their action on the levels solved and divides by
+    the pivots.  Otherwise M inverts L's pure part kron_sum([A_jj B]) in the
+    form tensor.kron_sum_solver names.  A refused M raises LinAlgError, and
+    SingularToRounding when L itself is: its pivots, or a pure part it equals.
     """
     B, L = system.block.tocoo(), system.L
     closed = closure_levels(system.basis, system.n, 1)
     off = (B.row != B.col) & (B.data != 0)
     if not closed[B.row[off]].all() or closed[B.col[off]].any():
-        return kron_sum_solver(system.block, np.diag(system.A))
+        try:
+            return kron_sum_solver(system.block, np.diag(system.A))
+        except SingularToRounding as exc:
+            if _is_pure_part(system):
+                raise
+            raise np.linalg.LinAlgError(f"the pure part of L: {exc}") from exc
     level = closure_levels(system.basis, system.n, system.d)
     pivots = L.diagonal()
     require_nonsingular(pivots, system.d, "L")
+    pivots.flags.writeable = False
     sweeps = [(rows, L[rows], pivots[rows])
               for rows in (np.flatnonzero(level == k) for k in range(1, system.d + 1))]
 
@@ -345,45 +371,33 @@ def block_inverse(system: SpectralSystem):
         for rows, part, diag in sweeps:
             c[rows] = (b[rows] - part @ c) / diag  # the unsolved entries of c are still 0
         return c
-    return solve, None, "substitution"
+    return solve, None, "substitution", pivots
 
 
-def _pure_inverse(system):
-    """K^-1 and K^-H when block_inverse's "eig" form inverts L itself, else None.
-
-    That takes a diagonal A (checked first) and L's stored entries equal to
-    those of its pure part K = kron_sum([A_jj B]), checked entry by entry: a
-    caller may replace L.
-    """
+def _is_pure_part(system) -> bool:
+    """Whether A is diagonal and L's entries are kron_sum([A_jj B])'s: a caller may replace L."""
     A = system.A
-    if np.count_nonzero(A - np.diag(np.diag(A))):
-        return None
-    try:
-        inverse, adjoint, form = block_inverse(system)
-    except np.linalg.LinAlgError:
-        return None
-    if form != "eig" or (kron_sum([w * system.block for w in np.diag(A)]) != system.L).nnz:
-        return None
-    return inverse, adjoint
+    return not (np.count_nonzero(A - np.diag(np.diag(A)))
+                or (kron_sum([w * system.block for w in np.diag(A)]) != system.L).nnz)
 
 
 def condition_report(system) -> dict:
     """Extreme singular values of L, and the bounds they are measured against.
 
     sigma_max comes from Lanczos on the sparse L, sigma_min = 1 / ||L^-1||_2
-    from Lanczos on L^-1; L is never made dense.  When the solve's inverse
-    (block_inverse) takes the "eig" form and L equals its pure part
+    from Lanczos on L^-1; L is never made dense.  When the system's inverse
+    (SpectralSystem.inverse) takes the "eig" form and L equals its pure part
     kron_sum([A_jj B]), L^-1 and L^-H are that form's per-axis maps
     ("lanczos-eig", lu_nnz None).  Otherwise they come from one sparse LU of
     L in its natural order, the least fill on these operators
     ("lanczos-splu", lu_nnz the factor's stored entries).  An exactly
-    singular factor reads sigma_min = 0, kappa = inf and lu_nnz None.
-    method names the estimator.  Systems above DENSE_LIMIT rows raise
+    singular factor, or an inverse refused as L singular to rounding (then
+    no LU runs), reads sigma_min = 0, kappa = inf and lu_nnz None.  method
+    names the estimator.  Systems above DENSE_LIMIT rows raise
     BudgetExceeded.
     bound_poisson is (2n)^4; bound_general scales it by
     norm_sigma / (C * norm_star) when the operator is GDD-accepted.
-    min_eig_sum is the near-singularity indicator of the pure part (see
-    min_eig_sum).
+    min_eig_sum is the near-singularity indicator (see min_eig_sum).
     """
     import scipy.sparse.linalg as spla
 
@@ -393,18 +407,20 @@ def condition_report(system) -> dict:
         raise BudgetExceeded(
             f"condition report of {size} rows exceeds DENSE_LIMIT={DENSE_LIMIT}")
     smax = _sigma_max(spla.aslinearoperator(L))
-    pure = _pure_inverse(system)
-    if pure is not None:
-        inverse = spla.LinearOperator(L.shape, matvec=pure[0], rmatvec=pure[1], dtype=L.dtype)
-        smin, method, lu_nnz = 1.0 / _sigma_max(inverse), "lanczos-eig", None
-    else:
-        method = "lanczos-splu"
+    smin, method, lu_nnz = 0.0, "lanczos-splu", None
+    try:
+        inverse, adjoint, form, _ = system.inverse
+    except np.linalg.LinAlgError as refusal:
+        form = "singular" if isinstance(refusal, SingularToRounding) else None
+    if form == "eig" and _is_pure_part(system):
+        inverse = spla.LinearOperator(L.shape, matvec=inverse, rmatvec=adjoint, dtype=L.dtype)
+        smin, method = 1.0 / _sigma_max(inverse), "lanczos-eig"
+    elif form != "singular":
         try:
             lu = spla.splu(L.tocsc(), permc_spec="NATURAL")
         except RuntimeError as exc:
             if "singular" not in str(exc):
                 raise
-            smin, lu_nnz = 0.0, None
         else:
             inverse = spla.LinearOperator(L.shape, matvec=lu.solve, dtype=L.dtype,
                                           rmatvec=lambda x: lu.solve(x, trans="H"))

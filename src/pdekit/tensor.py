@@ -6,7 +6,7 @@ Kronecker factor; every module lifts its 1D pieces through this one.
 kron_sum builds a Kronecker sum as CSR by index arithmetic on its blocks;
 kron_sum_solver inverts a weighted sum of one block in a form it names: the
 block's sparse LU for one axis, else one eigendecomposition of the block,
-which also gives the adjoint inverse the condition report reads.
+which also gives the adjoint inverse and the spectrum divided by.
 require_nonsingular is the one rule for the diagonal such an inverse divides by.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = ["along", "kron", "kron_sum", "kron_sum_apply", "kron_sum_solver",
-           "require_nonsingular", "axis_sum"]
+           "SingularToRounding", "require_nonsingular", "axis_sum"]
 
 EIGENBASIS_LIMIT = 1e-6  # largest eps ||V||_1 ||V^-1||_1 the "eig" form of kron_sum_solver takes
 
@@ -147,18 +147,18 @@ def _matmul_along(M, cube, axis: int) -> np.ndarray:
 
 
 def kron_sum_solver(block, weights):
-    """Maps x -> K^-1 x and x -> K^-H x (or None), and their form, K = kron_sum([w * block, ..]).
+    """K^-1, K^-H (or None), their form and K's spectrum (or None), K = kron_sum([w * block, ..]).
 
     One weight makes K the scaled block itself, factored by its sparse LU
-    ("splu", no adjoint).  More take one dense eigendecomposition
+    ("splu", no adjoint, no spectrum).  More take one dense eigendecomposition
     B = V diag(lam) V^-1 ("eig"): K^-1 carries x by V^-1 along every axis,
-    divides by the spectrum axis_sum(w_j lam) and carries it back by V; K^-H
-    carries x by V^H, divides by the conjugate spectrum and carries it back
-    by V^-H.  An eigenbasis too ill-conditioned to carry x there and back,
-    eps ||V||_1 ||V^-1||_1 > EIGENBASIS_LIMIT (a defective block has one), or
-    a spectrum singular to rounding (require_nonsingular) raises
-    numpy.linalg.LinAlgError before anything is divided.  A real block and
-    real weights map real x to real results.
+    divides by the read-only spectrum axis_sum(w_j lam) and carries it back
+    by V; K^-H carries x by V^H, divides by the conjugate spectrum and
+    carries it back by V^-H.  An eigenbasis too ill-conditioned to carry x
+    there and back, eps ||V||_1 ||V^-1||_1 > EIGENBASIS_LIMIT (a defective
+    block has one), raises numpy.linalg.LinAlgError, and a spectrum singular
+    to rounding SingularToRounding, before anything is divided.  A real
+    block and real weights map real x to real results.
     """
     import scipy.sparse.linalg as spla
 
@@ -171,7 +171,7 @@ def kron_sum_solver(block, weights):
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(f"sparse factorization failed: {exc}") from exc
         return (lambda x: (lu.solve(x.real) + 1j * lu.solve(x.imag)
-                           if real and np.iscomplexobj(x) else lu.solve(x))), None, "splu"
+                           if real and np.iscomplexobj(x) else lu.solve(x))), None, "splu", None
     lam, V = np.linalg.eig(block.toarray())
     V_inv = np.linalg.inv(V)
     drift = np.finfo(float).eps * np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1)
@@ -179,6 +179,7 @@ def kron_sum_solver(block, weights):
         raise np.linalg.LinAlgError(f"eigenbasis is ill-conditioned: drift {drift:.1e}")
     spectrum = axis_sum([w * lam for w in weights], d)
     require_nonsingular(spectrum, d, "Kronecker sum")
+    spectrum.flags.writeable = False
 
     def carry(x, into, divisor, back):
         cube = np.array(np.reshape(x, spectrum.shape), dtype=np.result_type(x, spectrum))
@@ -190,14 +191,18 @@ def kron_sum_solver(block, weights):
         out = cube.reshape(-1)
         return out.real if real and not np.iscomplexobj(x) else out
     return (lambda x: carry(x, V_inv, spectrum, V),
-            lambda x: carry(x, V.conj().T, spectrum.conj(), V_inv.conj().T), "eig")
+            lambda x: carry(x, V.conj().T, spectrum.conj(), V_inv.conj().T), "eig", spectrum)
+
+
+class SingularToRounding(np.linalg.LinAlgError):
+    """require_nonsingular's refusal, told apart from an ill-conditioned eigenbasis."""
 
 
 def require_nonsingular(divisors, d: int, what: str) -> None:
-    """Refuse the pivots or spectrum a d-axis inverse divides by if min |x| <= d eps max |x|."""
+    """Refuse (SingularToRounding) divisors x of a d-axis inverse if min |x| <= d eps max |x|."""
     size = np.abs(divisors)
     if size.min() <= d * np.finfo(float).eps * size.max():
-        raise np.linalg.LinAlgError(f"{what} is singular to rounding")
+        raise SingularToRounding(f"{what} is singular to rounding")
 
 
 def axis_sum(values, d: int) -> np.ndarray:

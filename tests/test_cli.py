@@ -186,17 +186,20 @@ class TestSolveSpectral:
     @pytest.mark.parametrize("limit", [4096, 64, 16])
     def test_one_near_singularity_indicator_per_solve(self, tmp_path, capsys, monkeypatch,
                                                       limit):
-        # min_eig_sum's eigenvalue solve runs once, in the report or without it, and not
-        # at all once B's 17 rows are above the limit: then metadata omits the key
+        # min_eig_sum reads the spectrum of the solve's own eig form: one eig of B's 17 rows
+        # per solve, no eigvals, and the key written with the report (4096) or without it
         monkeypatch.setattr(spectral_system, "DENSE_LIMIT", limit)
         calls = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(M.shape) or eigvals(M))
+        eig, eigvals = np.linalg.eig, np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(("eig", M.shape)) or eig(M))
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda M: calls.append(("eigvals", M.shape)) or eigvals(M))
         assert main(["solve", "--example", "poisson-2d-cheb", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         meta = json.loads((tmp_path / "metadata.json").read_text())
-        assert calls == ([(17, 17)] if limit >= 17 else [])
-        assert ("min_eig_sum" in meta) == (limit >= 17) and meta["residual"] < 1e-10
+        assert calls == [("eig", (17, 17))]
+        assert meta["min_eig_sum"] > 0.0 and meta["residual"] < 1e-10
+        assert ("kappa" in meta) == (limit >= 289)
 
     @pytest.mark.parametrize("spec", [
         {"method": "spectral", "basis": "chebyshev", "d": 2, "n": 16, "solution": "exp-sin"},

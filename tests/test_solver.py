@@ -1,6 +1,7 @@
 """Node transforms, point evaluation and manufactured-solution solves."""
 
 import contextlib
+import dataclasses
 import math
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdekit.solver as solver
+import pdekit.spectral_system as spectral_system
 from conftest import spectral_systems
 from pdekit.errors import ConvergenceFailure, ParameterError
 from pdekit.solver import (
@@ -27,7 +29,8 @@ from pdekit.solver import (
     synthesize_nodes,
 )
 from pdekit.spectral_ops import random_gdd
-from pdekit.spectral_system import assemble_system, block_inverse, closure_levels
+from pdekit.spectral_system import (assemble_system, block_inverse, closure_levels,
+                                   condition_report, min_eig_sum)
 
 
 def test_node_sets():
@@ -259,21 +262,43 @@ class TestSolveOracles:
         assert solve_system(system).residual <= 1e-12
 
     def test_one_eigendecomposition_per_preconditioner(self, monkeypatch):
-        calls = []
-        eig = np.linalg.eig
+        # the solve, the condition report and min_eig_sum share the system's one
+        # block_inverse, and min_eig_sum reads its spectrum: no eigvals at all
+        calls, reads = [], []
+        eig, eigvals, read = np.linalg.eig, np.linalg.eigvals, spectral_system.block_inverse
         monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(M.shape) or eig(M))
-        system, _ = manufactured_problem("exp-sin", random_gdd(np.random.default_rng(5), 3),
-                                         "chebyshev", 6)
-        assert solve_system(system).residual <= 1e-12
-        assert calls == [(7, 7)]
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append("eigvals") or eigvals(M))
+        monkeypatch.setattr(spectral_system, "block_inverse", lambda s: reads.append(s) or read(s))
+
+        def solve_and_report(system):
+            reads.clear()
+            result = solve_system(system)
+            assert result.residual <= 1e-12
+            assert min_eig_sum(system) == condition_report(system)["min_eig_sum"] > 0.0
+            assert len(reads) == 1 and reads[0] is system
+            return result
+        for A in (random_gdd(np.random.default_rng(5), 3), np.diag([1.0, 1.5])):
+            calls.clear()
+            solve_and_report(manufactured_problem("exp-sin", A, "chebyshev", 6)[0])
+            assert calls == [(7, 7)]
         # a Fourier L is solved by substitution: no eigendecomposition at all
+        calls.clear()
         for d in (1, 2, 3):
             system, _ = manufactured_problem(
                 "exp-sin-pi", random_gdd(np.random.default_rng(5), d), "fourier", 6)
-            result = solve_system(system)
-            assert result.residual <= 1e-12
+            result = solve_and_report(system)
             assert (result.preconditioner, result.iterations) == ("substitution", 0)
-        assert calls == [(7, 7)]
+        assert calls == []
+
+    @pytest.mark.parametrize("basis", ["fourier", "chebyshev"])
+    def test_a_replaced_system_reads_its_own_inverse(self, basis):
+        # dataclasses.replace gives a fresh memo: the Fourier pivots come from the new L
+        system = assemble_system(np.diag([1.0, 1.5]), basis, 6, np.ones(49))
+        first = system.inverse
+        fresh = dataclasses.replace(system, L=(2.0 * system.L).tocsr())
+        assert system.inverse is first and fresh.inverse is not first
+        scale = 2.0 if basis == "fourier" else 1.0
+        assert np.array_equal(fresh.inverse[3], scale * first[3])
 
     @pytest.mark.parametrize("closure", ["point", "pin"])
     def test_one_axis_point_and_pin_rows_take_at_most_two_steps(self, closure):

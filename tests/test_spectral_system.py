@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -510,13 +511,17 @@ def test_condition_report_refuses_above_dense_limit(monkeypatch):
         condition_report(system)
 
 
-def test_chebyshev_triple_product_singularity():
-    # the closed operator has a zero Kronecker-sum eigenvalue at n = 2, d = 3: the
-    # eigenbasis is refused as singular to rounding, and the sparse LU reports
+def test_chebyshev_triple_product_singularity(monkeypatch):
+    # the closed operator has a zero Kronecker-sum eigenvalue at n = 2, d = 3, and L is that
+    # pure part: the eigenbasis is refused as singular to rounding, and that verdict is L's,
+    # so no sparse LU runs to read a rounding-level sigma_min instead
+    def refuse(*args, **kwargs):
+        raise AssertionError("splu called")
     system = assemble_system(np.eye(3), "chebyshev", 2, np.zeros(27))
+    monkeypatch.setattr(spla, "splu", refuse)
     rep = condition_report(system)
     assert rep["method"] == "lanczos-splu"
-    assert rep["sigma_min"] < 1e-10
+    assert rep["sigma_min"] == 0.0 and rep["kappa"] == math.inf and rep["lu_nnz"] is None
     assert rep["within_poisson"] is False
 
 
@@ -541,11 +546,44 @@ def test_min_eig_sum_flags_the_near_singular_order(n, want):
 @pytest.mark.parametrize("basis, n, d", [("chebyshev", 5, 3), ("chebyshev", 9, 2),
                                          ("fourier", 6, 2), ("fourier", 4, 3)])
 def test_min_eig_sum_is_the_smallest_eigenvalue_of_the_pure_part(basis, n, d):
+    # of the pure part for Chebyshev, and of L itself for Fourier, whose pivots are divided by
     A = random_gdd(np.random.default_rng(n + d), d)
     system = assemble_system(A, basis, n, np.zeros((n + 1) ** d))
     B = diff_matrix(basis, 2, n, with_boundary_rows=True)
     pure = kron_sum([A[j, j] * B for j in range(d)]).toarray()
-    assert min_eig_sum(system) == pytest.approx(np.abs(np.linalg.eigvals(pure)).min(), rel=1e-8)
+    dense = system.L.toarray() if basis == "fourier" else pure
+    assert min_eig_sum(system) == pytest.approx(np.abs(np.linalg.eigvals(dense)).min(), rel=1e-8)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(spectral_systems())
+def test_min_eig_sum_matches_the_dense_spectrum(system):
+    # Fourier under every closure: L's own spectrum; Chebyshev: that of the pure part
+    if system.basis == "fourier":
+        dense = system.L.toarray()
+    else:
+        dense = kron_sum([w * system.block for w in np.diag(system.A)]).toarray()
+    lam = np.abs(np.linalg.eigvals(dense))
+    assert abs(min_eig_sum(system) - lam.min()) <= 1e-9 * lam.max()
+
+
+@pytest.mark.parametrize("closure", ["point", "pin"])
+@pytest.mark.parametrize("a", [np.pi ** 2, 9.8696])
+def test_min_eig_sum_of_point_and_pin_closures_is_that_of_l(closure, a):
+    # the closed block's pure part has a ~0 eigenvalue a - pi^2 here, but L sums the open
+    # block: its least |eigenvalue| is the centre row's pivot 1
+    system = assemble_system(np.diag([a, 1.0]), "fourier", 8, np.ones(81), closure=closure)
+    assert min_eig_sum(system) == 1.0
+
+
+@pytest.mark.parametrize("basis", ["fourier", "chebyshev"])
+def test_the_spectrum_of_the_inverse_is_read_only(basis):
+    # the memo serves every later solve and report of the system: it cannot be written into
+    system = assemble_system(np.diag([1.0, 1.5]), basis, 6, np.ones(49))
+    spectrum = system.inverse[3]
+    with pytest.raises(ValueError, match="read-only"):
+        spectrum[...] = 0.0
+    assert min_eig_sum(system) > 0.0 and solve_system(system).residual <= 1e-12
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

@@ -22,7 +22,8 @@ from pdekit.laplacian import eigenvalues_1d
 from pdekit.solver import analyze_values, synthesize_nodes
 from pdekit.spectral_ops import diff_matrix, multi_diff
 from pdekit.stencil import make_stencil
-from pdekit.tensor import axis_sum, kron, kron_sum, kron_sum_apply, kron_sum_solver
+from pdekit.tensor import (SingularToRounding, axis_sum, kron, kron_sum, kron_sum_apply,
+                           kron_sum_solver)
 from pdekit.transforms import (endpoint_weights, qct_matrix, qsft_apply, qsft_matrix,
                                sector_apply)
 
@@ -191,9 +192,10 @@ def test_kron_sum_solver_matches_sparse_solve(d, size, complex_block, complex_x,
     weights = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0, size=d)
     x = rng.normal(size=size ** d) + (1j * rng.normal(size=size ** d) if complex_x else 0)
     want = spla.spsolve(kron_sum([w * block for w in weights]).tocsc(), x)
-    solve, adjoint, form = kron_sum_solver(block, weights)
+    solve, adjoint, form, spectrum = kron_sum_solver(block, weights)
     got = solve(x)
     assert form == ("splu" if d == 1 else "eig") and (adjoint is None) == (d == 1)
+    assert (spectrum is None) == (d == 1)
     assert np.iscomplexobj(got) == (complex_block or complex_x)
     assert np.allclose(got, want, rtol=0, atol=1e-12 * np.linalg.norm(want))
 
@@ -211,8 +213,12 @@ def test_eigenbasis_inverse_and_its_adjoint_match_sparse_solves(d, size, complex
     weights = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0, size=d)
     x = rng.normal(size=size ** d) + (1j * rng.normal(size=size ** d) if complex_x else 0)
     K = kron_sum([w * block for w in weights]).tocsc()
-    inverse, adjoint, form = kron_sum_solver(block, weights)
+    inverse, adjoint, form, spectrum = kron_sum_solver(block, weights)
     assert form == "eig"
+    # the spectrum divided by is K's: every eigenvalue of K within reach of one of it, and back
+    gap = np.abs(spectrum.reshape(-1, 1) - np.linalg.eigvals(K.toarray()))
+    reach = 1e-9 * np.abs(spectrum).max()
+    assert gap.min(axis=0).max() <= reach and gap.min(axis=1).max() <= reach
     for got, want in ((inverse(x), spla.spsolve(K, x)),
                       (adjoint(x), spla.spsolve(K.conj().T.tocsc(), x))):
         assert np.iscomplexobj(got) == (complex_block or complex_x)
@@ -239,7 +245,7 @@ def test_closed_form_is_read_off_a_one_row_block(d, size, complex_block, seed):
     weights = rng.uniform(0.5, 2.0, size=d)
     x = rng.normal(size=size ** d)
     want = spla.spsolve(kron_sum([w * block for w in weights]).tocsc(), x)
-    solve, _, form = kron_sum_solver(block, weights)
+    solve, _, form, _ = kron_sum_solver(block, weights)
     assert form == ("splu" if d == 1 else "eig")
     assert np.linalg.norm(solve(x) - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -308,12 +314,13 @@ def test_a_zero_gap_refuses_the_closed_form(d):
     # came out 5.7% wrong at d = 2 and 53% at d = 3), so that form refuses it
     B = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
     if d == 1:
-        solve, _, form = kron_sum_solver(B, [1.5])
+        solve, _, form, _ = kron_sum_solver(B, [1.5])
         assert form == "splu"
         assert np.allclose(B @ solve(np.array([1.0, 2.0])) * 1.5, [1.0, 2.0], rtol=0, atol=1e-15)
     else:
-        with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
+        with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned") as err:
             kron_sum_solver(B, np.ones(d))
+        assert not isinstance(err.value, SingularToRounding)
 
 
 @pytest.mark.parametrize("n", [64, 128, 256, 361])
@@ -321,7 +328,7 @@ def test_closed_chebyshev_blocks_keep_eig(n):
     # eps ||V||_1 ||V^-1||_1 reads 1.7e-11 at n = 64 and 7.8e-9 at n = 361, the largest
     # d = 2 size under SYSTEM_BUDGET: every closed Chebyshev block stays far below the limit
     B = diff_matrix("chebyshev", 2, n, with_boundary_rows=True)
-    solve, _, form = kron_sum_solver(B, [1.0, 1.5])
+    solve, _, form, _ = kron_sum_solver(B, [1.0, 1.5])
     assert form == "eig"
     if n == 64:
         x = np.random.default_rng(n).normal(size=(n + 1) ** 2)
@@ -332,12 +339,14 @@ def test_closed_chebyshev_blocks_keep_eig(n):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_kron_sum_solver_refuses_a_singular_sum(d):
     # weights 1, -1 (and 0): the eigenvalue sums lam_i - lam_i vanish; 0 B alone;
-    # a triangular block and a full one, by sparse LU at one axis and eig above
+    # a triangular block and a full one, by sparse LU at one axis and eig above, where
+    # require_nonsingular names the spectrum singular to rounding
     weights = [[0.0], [1.0, -1.0], [1.0, -1.0, 0.0]][d - 1]
     for lower in (0.0, 1.0):
         B = sp.csr_matrix(np.array([[2.0, 1.0], [lower, 3.0]]))
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError) as err:
             kron_sum_solver(B, weights)
+        assert isinstance(err.value, SingularToRounding) == (d > 1)
 
 
 @BOUNDED
