@@ -131,12 +131,12 @@ def embed_boundary(basis: str, n: int, d: int, axis: int, side: str, coeffs) -> 
 class SpectralSystem:
     """An assembled L c = b system, its closed 1D block B under every closure, and its scalars.
 
-    inverse is block_inverse(self), kept from the first read (a refusal is
-    raised anew on each read) and read by the solve, condition_report and
-    min_eig_sum; dataclasses.replace starts afresh.  An L assigned after the
-    first read keeps the old L's inverse: certificates are computed on the
-    new L, and condition_report checks its entries.  A system whose inverse
-    was read holds closures, so it cannot be pickled.
+    inverse is block_inverse(self), kept from the first read and read by the
+    solve, condition_report and min_eig_sum; a refusal is kept too and
+    raised again on each read.  dataclasses.replace starts afresh.  An L
+    assigned after the first read keeps the old L's inverse: certificates
+    are computed on the new L, and condition_report checks its entries.  A
+    system whose inverse was read holds closures, so it cannot be pickled.
     """
 
     basis: str
@@ -154,9 +154,19 @@ class SpectralSystem:
     def size(self) -> int:
         return (self.n + 1) ** self.d
 
-    @cached_property
+    @property
     def inverse(self):
-        return block_inverse(self)
+        inverse, refusal = self._inverse
+        if refusal is not None:
+            raise refusal
+        return inverse
+
+    @cached_property
+    def _inverse(self):
+        try:
+            return block_inverse(self), None
+        except np.linalg.LinAlgError as refusal:
+            return None, refusal
 
 
 def closure_levels(basis: str, n: int, d: int) -> np.ndarray:
@@ -392,9 +402,9 @@ def condition_report(system) -> dict:
     L in its natural order, the least fill on these operators
     ("lanczos-splu", lu_nnz the factor's stored entries).  An exactly
     singular factor, or an inverse refused as L singular to rounding (then
-    no LU runs), reads sigma_min = 0, kappa = inf and lu_nnz None.  method
-    names the estimator.  Systems above DENSE_LIMIT rows raise
-    BudgetExceeded.
+    no LU runs), is a verdict that no estimator ran: method "singular",
+    sigma_min = 0, kappa = inf and lu_nnz None.  Systems above DENSE_LIMIT
+    rows raise BudgetExceeded.
     bound_poisson is (2n)^4; bound_general scales it by
     norm_sigma / (C * norm_star) when the operator is GDD-accepted.
     min_eig_sum is the near-singularity indicator (see min_eig_sum).
@@ -407,7 +417,7 @@ def condition_report(system) -> dict:
         raise BudgetExceeded(
             f"condition report of {size} rows exceeds DENSE_LIMIT={DENSE_LIMIT}")
     smax = _sigma_max(spla.aslinearoperator(L))
-    smin, method, lu_nnz = 0.0, "lanczos-splu", None
+    smin, method, lu_nnz = 0.0, "singular", None
     try:
         inverse, adjoint, form, _ = system.inverse
     except np.linalg.LinAlgError as refusal:
@@ -424,7 +434,8 @@ def condition_report(system) -> dict:
         else:
             inverse = spla.LinearOperator(L.shape, matvec=lu.solve, dtype=L.dtype,
                                           rmatvec=lambda x: lu.solve(x, trans="H"))
-            smin, lu_nnz = 1.0 / _sigma_max(inverse), lu.L.nnz + lu.U.nnz
+            smin, method = 1.0 / _sigma_max(inverse), "lanczos-splu"
+            lu_nnz = lu.L.nnz + lu.U.nnz
     kappa = smax / smin if smin > 0 else math.inf
     bound_poisson = float((2 * system.n) ** 4)
     gdd = system.gdd

@@ -3,7 +3,8 @@
 Both discretizations are d-fold tensor products.  Arrays over the d-cube
 are flattened row-major, so axis 0 varies slowest and is the leftmost
 Kronecker factor; every module lifts its 1D pieces through this one.
-kron_sum builds a Kronecker sum as CSR by index arithmetic on its blocks;
+kron builds a Kronecker product as CSR from the index arithmetic of its
+factors' entries, and kron_sum is the sum of its kron terms in axis order;
 kron_sum_solver inverts a weighted sum of one block in a form it names: the
 block's sparse LU for one axis, else one eigendecomposition of the block,
 which also gives the adjoint inverse and the spectrum divided by.
@@ -33,94 +34,46 @@ def along(x, axis: int, ndim: int) -> np.ndarray:
 def kron(factors) -> sp.csr_matrix:
     """Kronecker product of per-axis factors, axis 0 leftmost; None is the identity.
 
-    For factors with stored entries, bit for bit the fold of sp.kron over
-    them from a 1 x 1 identity, the identities float, built in one step:
-    every stored entry is one stored entry per factor, its value their
-    product taken left to right from 1.0, and the one conversion to CSR
-    orders each row by column.
+    Each factor is read as CSR.  For CSR or dense factors with stored
+    entries, bit for bit the fold of sp.kron over them from a 1 x 1
+    identity, the identities float, built in one step: every stored entry is
+    one stored entry per factor (an identity's are its diagonal ones), its
+    value their product taken left to right from 1.0, and the one conversion
+    to CSR orders each row by column.
     """
     size = next(f.shape[0] for f in factors if f is not None)
     shape = (size ** len(factors),) * 2
     rows = cols = np.zeros(1, dtype=np.int32 if shape[0] <= np.iinfo(np.int32).max else np.int64)
     data = np.ones(1)
+    diagonal = np.arange(size, dtype=rows.dtype)
+    identity = diagonal, diagonal, np.ones(size)
     for f in factors:
-        f = sp.identity(size, format="coo") if f is None else sp.coo_matrix(f)
-        rows = (rows[:, None] * size + f.row).reshape(-1)
-        cols = (cols[:, None] * size + f.col).reshape(-1)
-        data = (data[:, None] * f.data).reshape(-1)
+        if f is None:
+            f_rows, f_cols, f_data = identity
+        else:
+            f = sp.csr_matrix(f)
+            f_rows, f_cols, f_data = np.repeat(diagonal, np.diff(f.indptr)), f.indices, f.data
+        rows = (rows[:, None] * size + f_rows).reshape(-1)
+        cols = (cols[:, None] * size + f_cols).reshape(-1)
+        data = (data[:, None] * f_data).reshape(-1)
     return sp.csr_matrix((data, (rows, cols)), shape=shape)
 
 
 def kron_sum(blocks) -> sp.csr_matrix:
     """sum_j I x .. x blocks[j] x .. x I: one square block per axis, all of one size, as CSR.
 
-    For blocks with stored entries the result is bit for bit the fold of
-    sp.kronsum(b, S) = S x I + I x b over them, built by index arithmetic.
-    Row r = (i_0, .., i_{d-1}) of the term of axis j holds row i_j of
-    blocks[j], so its columns differ from r on axis j only.  In column order
-    a row therefore holds the entries left of the diagonal axis by axis
-    (axis 0 first), the shared diagonal, then the entries right of it in
-    reverse axis order.  The values follow the fold's arithmetic: terms are
-    added in axis order, (T_0 + T_1) + T_2 + .., every stage scales what it
-    lifts by a unit of the common dtype (for complex data that settles the
-    signs of zero parts), and a sum that cancels to zero is not stored.
+    The kron terms are added in axis order, (T_0 + T_1) + T_2 + .., by
+    scipy's CSR sum, which drops what cancels to zero: for CSR or dense
+    blocks with stored entries, bit for bit the fold of
+    sp.kronsum(b, S) = S x I + I x b over them.  One block is returned as
+    CSR unscaled, as the fold does (kron would scale it by 1.0, which turns
+    a -0 imaginary part into +0).
     """
     if len(blocks) == 1:
         return sp.csr_matrix(blocks[0])
-    blocks = [_canonical(b) for b in blocks]
-    d, N = len(blocks), blocks[0].shape[0]
-    cube = [N] * d
-    dtype = np.result_type(*(b.dtype for b in blocks))
-    one = dtype.type(1)
-    # each block entry's row and side: left of (0), on (1) or right of (2) the diagonal
-    rows = [np.repeat(np.arange(N), np.diff(b.indptr)) for b in blocks]
-    sides = [np.sign(b.indices - r) + 1 for b, r in zip(blocks, rows)]
-    counts = [np.stack([np.bincount(r[s == k], minlength=N) for k in range(3)])
-              for r, s in zip(rows, sides)]
-    lo, on, hi = ([along(c[k], j, d) for j, c in enumerate(counts)] for k in range(3))
-    left, diag = sum(lo), sum(on) > 0
-    indptr = np.zeros(N ** d + 1, dtype=np.int64)
-    np.cumsum(np.broadcast_to(left + diag + sum(hi), cube), out=indptr[1:])
-    first = indptr[:-1].reshape(cube)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.zeros(indptr[-1], dtype=dtype)
-    for j, (b, r, s, c) in enumerate(zip(blocks, rows, sides, counts)):
-        outer, inner = N ** j, N ** (d - 1 - j)
-        starts = np.stack([first + sum(lo[:j]), first + left,
-                           first + left + diag + sum(hi[j + 1:])])
-        # an entry's place in its segment: its rank in the block row less the sides before
-        skipped = np.concatenate([np.zeros((1, N), dtype=np.int64), np.cumsum(c[:2], axis=0)])
-        offset = np.arange(b.nnz) - b.indptr[r] - skipped[s, r]
-        pos = starts.reshape(3, outer, N, inner)[s, :, r, :] + offset[:, None, None]
-        indices[pos] = ((np.arange(outer)[:, None] * N + b.indices[:, None, None]) * inner
-                        + np.arange(inner))
-        values = b.data.astype(dtype)[:, None, None]
-        if j == 0:
-            data[pos] = values
-        elif dtype.kind == "c":
-            # both operands are lifted by a complex unit and added in full
-            term = np.zeros_like(data)
-            term[pos] = values * one
-            data = term + data * one
-            data[data == 0] = 0
-        else:
-            data[pos] += values
-    keep = data != 0
-    if not keep.all():
-        indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
-        indices, data = indices[keep], data[keep]
-    idx = np.int32 if max(indptr[-1], N ** d) <= np.iinfo(np.int32).max else np.int64
-    return sp.csr_matrix((data, indices.astype(idx), indptr.astype(idx)),
-                         shape=(N ** d, N ** d))
-
-
-def _canonical(block) -> sp.csr_matrix:
-    """block as CSR with sorted column indices and no duplicates."""
-    block = sp.csr_matrix(block)
-    if not block.has_canonical_format:
-        block = block.copy()
-        block.sum_duplicates()
-    return block
+    d = len(blocks)
+    terms = (kron([b if k == j else None for k in range(d)]) for j, b in enumerate(blocks))
+    return sum(terms, start=next(terms))
 
 
 def kron_sum_apply(blocks, x) -> np.ndarray:

@@ -290,6 +290,27 @@ class TestSolveOracles:
             assert (result.preconditioner, result.iterations) == ("substitution", 0)
         assert calls == []
 
+    def test_a_refused_inverse_is_read_once(self, monkeypatch):
+        # the system keeps the refusal and raises it on each read: the solve, the
+        # condition report and min_eig_sum share one block_inverse and one eig, and
+        # only min_eig_sum's fallback reads the block's eigenvalues again
+        calls = []
+        eig, eigvals, read = np.linalg.eig, np.linalg.eigvals, spectral_system.block_inverse
+        monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append("eig") or eig(M))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append("eigvals") or eigvals(M))
+        monkeypatch.setattr(spectral_system, "block_inverse",
+                            lambda s: calls.append("block_inverse") or read(s))
+        system = assemble_system(np.eye(3), "chebyshev", 2, np.ones(27))
+        with pytest.raises(ConvergenceFailure, match="singular to rounding"):
+            solve_system(system)
+        assert condition_report(system)["method"] == "singular"
+        assert calls == ["block_inverse", "eig", "eigvals"]
+        # a Fourier L singular to rounding: its pivots are refused once
+        calls.clear()
+        system = assemble_system(np.diag([np.pi ** 2, 1.0]), "fourier", 8, np.ones(81))
+        assert condition_report(system)["method"] == "singular"
+        assert calls == ["block_inverse", "eigvals"]
+
     @pytest.mark.parametrize("basis", ["fourier", "chebyshev"])
     def test_a_replaced_system_reads_its_own_inverse(self, basis):
         # dataclasses.replace gives a fresh memo: the Fourier pivots come from the new L

@@ -443,7 +443,7 @@ def test_condition_report_of_an_exactly_singular_factor():
     keep[14] = 0.0
     system.L = (sp.diags(keep) @ system.L).tocsr()
     rep = condition_report(system)
-    assert rep["method"] == "lanczos-splu"
+    assert rep["method"] == "singular"
     assert rep["sigma_min"] == 0.0 and rep["kappa"] == math.inf and rep["lu_nnz"] is None
     assert rep["sigma_max"] == pytest.approx(dense_singular_values(system)[0], rel=1e-12)
     assert rep["within_poisson"] is False and rep["within_general"] is False
@@ -520,7 +520,7 @@ def test_chebyshev_triple_product_singularity(monkeypatch):
     system = assemble_system(np.eye(3), "chebyshev", 2, np.zeros(27))
     monkeypatch.setattr(spla, "splu", refuse)
     rep = condition_report(system)
-    assert rep["method"] == "lanczos-splu"
+    assert rep["method"] == "singular"
     assert rep["sigma_min"] == 0.0 and rep["kappa"] == math.inf and rep["lu_nnz"] is None
     assert rep["within_poisson"] is False
 
