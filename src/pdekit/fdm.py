@@ -15,10 +15,11 @@ the array: the kernel is read off the spectrum's zero frequency and the
 inverse transform runs in the solve's own frequency cube.  Norms, means and
 extremes are taken over whole arrays, so every output keeps the bits of
 whole-cube numpy; the solve reuses the source's mean and norm that
-assemble took.  Restricted residuals are taken by applying the 1D
-factor along each axis.  Conjugate gradient on the same operator stays as
-the cross-check.  The source and exact solution are sampled on read-only
-broadcast views of the coordinate lines, never on materialized meshgrids.
+assemble took.  Every system stores its 1D axis factor, the order-2k
+circulant or its restricted image; restricted residuals and conjugate
+gradient, the cross-check, apply it along each axis.  The source and exact
+solution are sampled on read-only broadcast views of the coordinate lines,
+never on materialized meshgrids.
 
 Parameter selection follows the high-order accuracy estimate: the error of
 the order-2k scheme on a smooth solution is within
@@ -91,11 +92,12 @@ class FdmSystem:
 
     eig_axis is the 1D spectrum of L's axis factor: all 2n circulant
     eigenvalues when periodic, the sector's n of them when restricted.
-    matrix is the restricted axis factor (1/h^2) R, which L sums over the
-    d axes; periodic systems have none.  rhs_stats is (rhs, its mean, its
-    2-norm) as assemble took them for its periodic checks; a solve reuses
-    the two numbers while rhs is still that array, and takes them itself
-    for a replaced rhs or a system built by hand.
+    matrix is that axis factor, which L sums over the d axes: the 2n x 2n
+    circulant (1/h^2) C when periodic, (1/h^2) R when restricted.
+    rhs_stats is (rhs, its mean, its 2-norm) as assemble took them for its
+    checks; the periodic solve reuses the two numbers while rhs is still
+    that array, and takes them itself for a replaced rhs or a system built
+    by hand.
     """
 
     problem: FdmProblem
@@ -105,10 +107,7 @@ class FdmSystem:
     rhs_stats: tuple | None = field(default=None, repr=False, compare=False)
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        p = self.problem
-        if p.bc == "periodic":
-            return _apply(_eigenbasis(self), u)
-        return kron_sum_apply([self.matrix] * p.d, u)
+        return kron_sum_apply([self.matrix] * self.problem.d, u)
 
 
 def _cpus() -> int:
@@ -215,7 +214,7 @@ def _eigenbasis(system: FdmSystem):
     axis pass into slabs over the CPUs and keeps numpy's rfftn/irfftn bits;
     its inverse transforms in place on the frequency cube it is handed, which
     every caller owns, and split holds wherever those passes split (d > 1).
-    lam is built once per basis: a solve or a CG run builds one basis.
+    lam is built once per basis, and an eigen solve builds one basis.
     """
     p = system.problem
     lam = system.eig_axis / p.h ** 2
@@ -305,49 +304,46 @@ def periodic_grid(n: int, d: int):
 
 
 def assemble(p: FdmProblem) -> FdmSystem:
-    """Sample the source on the lattice and attach the scaled operator.
+    """Sample the source on the lattice and attach the scaled 1D factor.
 
-    Periodic sources must have zero lattice mean (the operator kernel is the
-    constant vector); violations beyond MEAN_RTOL * ||f|| are rejected.  For
-    the reflection-restricted boundary conditions the source is sampled on
-    the parent lattice and folded axis by axis into the symmetry sector.
-    Non-finite samples are rejected.  The restricted operators are
-    diagonalized by the DST-II (Dirichlet) and the DCT-II (Neumann), whose
-    frequencies l = 1..n and l = 0..n-1 pick their eigenvalues out of the
-    circulant ones; only the 1D restricted factor is stored.
+    Periodic systems store the 2n x 2n order-2k circulant, built sparse from
+    the stencil's 2k+1 taps.  For the reflection-restricted boundary
+    conditions the source is sampled on the parent lattice and folded axis
+    by axis into the symmetry sector, and the restricted factor is stored;
+    the DST-II (Dirichlet) and the DCT-II (Neumann) diagonalize it, and
+    their frequencies l = 1..n and l = 0..n-1 pick its eigenvalues out of
+    the circulant ones.  A stored rhs with a non-finite entry is rejected,
+    and so, where the operator kernel is the constant vector (periodic,
+    Neumann), is a component along it beyond MEAN_RTOL * ||f||.
     """
     s = make_stencil(p.k)
     lam = eigenvalues_1d(s, p.n)
-    f = np.asarray(p.rhs_sampler(*periodic_grid(p.n, p.d)), dtype=float)
-    if f.shape != tuple([2 * p.n] * p.d):
-        raise ParameterError(f"sampler returned shape {f.shape}, expected {(2 * p.n,) * p.d}")
+    cube = np.asarray(p.rhs_sampler(*periodic_grid(p.n, p.d)), dtype=float)
+    if cube.shape != tuple([2 * p.n] * p.d):
+        raise ParameterError(f"sampler returned shape {cube.shape}, expected {(2 * p.n,) * p.d}")
     if p.bc == "periodic":
-        # a finite norm vouches for every sample; a norm that is not finite
-        # (a NaN or inf sample, or finite ones that overflow) sends for the scan
-        rhs = f.reshape(-1)
-        norm, rhs_mean = _norm(rhs), rhs.mean()
-        if not math.isfinite(norm) and not np.isfinite(f).all():
-            raise ParameterError("sampler returned non-finite source values")
-        mean = abs(rhs_mean) * math.sqrt(f.size)
-        if mean > MEAN_RTOL * norm:
-            raise CompatibilityError(
-                f"periodic rhs has mean component {mean:.3e} > {MEAN_RTOL:.0e} * ||f||")
-        return FdmSystem(problem=p, rhs=rhs, eig_axis=lam,
-                         rhs_stats=(rhs, rhs_mean, norm))
-    if not np.isfinite(f).all():
-        raise ParameterError("sampler returned non-finite source values")
-    restricted = restrict(s, p.n, p.bc)
-    cube = f
-    for axis in range(p.d):
-        cube = fold_vector(cube, p.bc, axis=axis)
-    if p.bc == "neumann":
-        mean = abs(cube.mean()) * math.sqrt(cube.size)
-        if mean > MEAN_RTOL * _norm(cube):
-            raise CompatibilityError(
-                f"neumann rhs has kernel component {mean:.3e} > {MEAN_RTOL:.0e} * ||f||")
-    sector = lam[1:p.n + 1] if p.bc == "dirichlet" else lam[:p.n]
-    return FdmSystem(problem=p, rhs=cube.reshape(-1), eig_axis=sector,
-                     matrix=sp.csr_matrix(restricted / p.h ** 2))
+        m = 2 * p.n
+        rows = np.repeat(np.arange(m), 2 * p.k + 1)
+        cols = (rows + np.tile(np.arange(-p.k, p.k + 1), m)) % m
+        matrix = sp.csr_matrix((np.tile(s.coeffs / p.h ** 2, m), (rows, cols)), shape=(m, m))
+    else:
+        matrix = sp.csr_matrix(restrict(s, p.n, p.bc) / p.h ** 2)
+        for axis in range(p.d):
+            cube = fold_vector(cube, p.bc, axis=axis)
+        lam = lam[1:p.n + 1] if p.bc == "dirichlet" else lam[:p.n]
+    # a finite norm vouches for every entry; a norm that is not finite (a NaN
+    # or inf entry, or finite ones past the float range) sends for the scan
+    rhs = cube.reshape(-1)
+    norm = _norm(rhs)
+    if not math.isfinite(norm) and not np.isfinite(rhs).all():
+        raise ParameterError("non-finite source values on the lattice")
+    mean = rhs.mean()
+    kernel = abs(mean) * math.sqrt(rhs.size)
+    if p.bc != "dirichlet" and kernel > MEAN_RTOL * norm:
+        raise CompatibilityError(
+            f"{p.bc} rhs has kernel component {kernel:.3e} > {MEAN_RTOL:.0e} * ||f||")
+    return FdmSystem(problem=p, rhs=rhs, eig_axis=lam, matrix=matrix,
+                     rhs_stats=(rhs, mean, norm))
 
 
 def _divide(basis, b: np.ndarray) -> np.ndarray:
@@ -382,7 +378,8 @@ def _solve_restricted(system: FdmSystem) -> tuple:
     The Neumann rhs is projected off the constant kernel as CG projects it.
     The true residual b - A u comes from the per-axis operator, not from the
     transform; the division is refined on it while its norm still falls, and
-    a final ||r|| > CG_TOL ||b|| raises ConvergenceFailure.
+    a final residual that does not meet ||r|| <= CG_TOL ||b|| (NaN
+    included) raises ConvergenceFailure.
     """
     p = system.problem
     basis = _eigenbasis(system)
@@ -405,7 +402,7 @@ def _solve_restricted(system: FdmSystem) -> tuple:
             break
         u, r, rr, steps = u_next, r_next, rr_next, steps + 1
     res = rr / max(nb, 1e-300)
-    if rr > CG_TOL * nb:
+    if not rr <= CG_TOL * nb:
         raise ConvergenceFailure(
             f"eigenbasis division stopped at residual {res:.3e} after {steps} "
             f"refinement steps", residual=res)
@@ -420,7 +417,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _norm(v: np.ndarray) -> float:
-    return math.sqrt(_dot(np.ravel(v), np.ravel(v)))
+    """2-norm: the plain sum of squares where it is finite and positive, so
+    its bits; else rescaled by max |v|, which neither overflows nor underflows."""
+    v = np.ravel(v)
+    sq = _dot(v, v)
+    scale = float(np.abs(v).max()) if v.size and not 0.0 < sq < math.inf else 0.0
+    if not 0.0 < scale < math.inf:   # the plain sum, all zeros, or a NaN or inf entry
+        return math.sqrt(sq)
+    w = v / scale
+    return scale * math.sqrt(_dot(w, w))
 
 
 def _solve_cg(system: FdmSystem) -> tuple:
@@ -430,7 +435,8 @@ def _solve_cg(system: FdmSystem) -> tuple:
     every matvec are projected onto the zero-mean complement so the Krylov
     space stays in the range.  The iteration cap comes from kappa over the
     nonzero closed-form spectrum.  CG starts from zero and stops once the
-    true residual, not only the recurred one, meets ||r|| <= CG_TOL ||b||.
+    true residual, not only the recurred one, meets ||r|| <= CG_TOL ||b||;
+    a residual that misses it or is not finite raises ConvergenceFailure.
     """
     p = system.problem
     singular = p.bc in ("periodic", "neumann")
@@ -439,15 +445,8 @@ def _solve_cg(system: FdmSystem) -> tuple:
     if singular:
         rhs = rhs - rhs.mean()
 
-    matvec = system.matvec
-    if p.bc == "periodic":
-        basis = _eigenbasis(system)   # once, not once per matvec
-
-        def matvec(u):
-            return _apply(basis, u)
-
     def mv(u):
-        out = matvec(u)
+        out = system.matvec(u)
         return -(out - out.mean()) if singular else -out
 
     cap = int(10.0 * math.sqrt(kappa) * math.log(1.0 / CG_TOL)) + 50
@@ -472,7 +471,7 @@ def _solve_cg(system: FdmSystem) -> tuple:
         r = -rhs - mv(u)
         rr = _dot(r, r)
     res = math.sqrt(rr) / max(math.sqrt(_dot(rhs, rhs)), 1e-300)
-    if math.sqrt(rr) > stop:
+    if not (math.sqrt(rr) <= stop and math.isfinite(res)):
         raise ConvergenceFailure(
             f"conjugate gradient stopped at residual {res:.3e} after {iters} "
             f"iterations (cap {cap})",
@@ -484,10 +483,11 @@ def solve(system: FdmSystem, method: str = "auto") -> SolutionField:
     """Solve the assembled system; the solution mean is pinned to zero.
 
     method "eigen" divides in the operator's eigenbasis: the real FFT for
-    periodic lattices, which reports its residual ungated, and the
-    DST-II/DCT-II for restricted ones, which meet CG's 1e-12 relative
-    residual or raise.  "cg" runs conjugate gradient with relative
-    tolerance 1e-12 and is kept as the cross-check; "auto" is "eigen".
+    periodic lattices, which reports its residual ungated unless it is not
+    finite, and the DST-II/DCT-II for restricted ones, which meet CG's
+    1e-12 relative residual or raise.  "cg" runs conjugate gradient with
+    relative tolerance 1e-12 and is kept as the cross-check; "auto" is
+    "eigen".
     """
     p = system.problem
     if method in ("auto", "eigen"):
@@ -508,6 +508,8 @@ def solve(system: FdmSystem, method: str = "auto") -> SolutionField:
             np.subtract(r[lo:hi], f[lo:hi] - mean, out=r[lo:hi])
         _each_slab(subtract, shape[0], split)
         res = _norm(r) / max(norm, 1e-300)
+        if not math.isfinite(res):
+            raise ConvergenceFailure(f"eigenbasis division reached residual {res}", residual=res)
         return SolutionField(problem=p, values=u, method="eigen", residual=res)
     if method != "cg":
         raise ParameterError(f"method must be auto, eigen or cg, got {method!r}")

@@ -8,6 +8,7 @@ a write/read cycle is bit-exact.  Entries appear in row-major order.
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,29 +29,47 @@ def format_coordinate(M) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fields(line: str, types, what: str) -> list:
+    """The whitespace-separated fields of line, each read by its type."""
+    parts = line.split()
+    try:
+        if len(parts) == len(types):
+            return [read(part) for read, part in zip(types, parts)]
+    except ValueError:
+        pass
+    raise ParameterError(f"malformed {what} {line!r}")
+
+
 def parse_coordinate(text: str) -> sp.csr_matrix:
-    """Inverse of format_coordinate; returns complex CSR."""
+    """Inverse of format_coordinate; returns complex CSR.
+
+    Rejects, with ParameterError, what format_coordinate never writes: a
+    negative size, a field that is not an integer position or a float, a
+    non-finite value and a position given twice.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParameterError("empty coordinate text")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParameterError(f"malformed header {lines[0]!r}")
-    rows, cols, nnz = (int(t) for t in head)
+    rows, cols, nnz = _fields(lines[0], (int, int, int), "header")
+    if min(rows, cols, nnz) < 0:
+        raise ParameterError(f"negative size in header {lines[0]!r}")
     if len(lines) - 1 != nnz:
         raise ParameterError(f"header promises {nnz} entries, found {len(lines) - 1}")
     ii = np.empty(nnz, dtype=int)
     jj = np.empty(nnz, dtype=int)
     vv = np.empty(nnz, dtype=complex)
+    seen = set()
     for t, ln in enumerate(lines[1:]):
-        parts = ln.split()
-        if len(parts) != 4:
-            raise ParameterError(f"malformed entry line {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
+        i, j, re, im = _fields(ln, (int, int, float, float), "entry line")
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise ParameterError(f"entry ({i}, {j}) outside {rows} x {cols}")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ParameterError(f"non-finite entry {ln!r}")
+        if (i, j) in seen:
+            raise ParameterError(f"entry ({i}, {j}) repeated")
+        seen.add((i, j))
         ii[t], jj[t] = i - 1, j - 1
-        vv[t] = complex(float(parts[2]), float(parts[3]))
+        vv[t] = complex(re, im)
     return sp.coo_matrix((vv, (ii, jj)), shape=(rows, cols)).tocsr()
 
 

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdekit import fdm
@@ -167,8 +167,21 @@ class TestGridAndAssembly:
 
     def test_periodic_rejects_mean_component(self):
         p = FdmProblem(d=1, n=8, k=1, rhs_sampler=lambda x: np.cos(x) + 0.5)
-        with pytest.raises(CompatibilityError, match="mean component"):
+        with pytest.raises(CompatibilityError, match="kernel component"):
             assemble(p)
+
+    @pytest.mark.filterwarnings("ignore:k=.*condition-number bands:UserWarning")
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))))
+    @example((2, 1))
+    @example((9, 8))   # 2k+1 = 2n-1: the wrapped bands meet
+    def test_periodic_factor_is_the_dense_circulant(self, nk):
+        n, k = nk
+        system = assemble(FdmProblem(d=1, n=n, k=k, rhs_sampler=np.sin))
+        factor = system.matrix
+        assert factor.format == "csr" and factor.has_canonical_format
+        assert factor.nnz == 2 * n * (2 * k + 1)
+        assert np.array_equal(factor.toarray(), circulant(k, n) / system.problem.h ** 2)
 
     def test_sampler_shape_checked(self):
         p = FdmProblem(d=1, n=8, k=1, rhs_sampler=lambda x: 1.0)
@@ -176,7 +189,7 @@ class TestGridAndAssembly:
             assemble(p)
 
     @pytest.mark.parametrize("bc, bad", [("periodic", np.nan), ("periodic", np.inf),
-                                         ("dirichlet", np.nan)])
+                                         ("dirichlet", np.nan), ("neumann", np.inf)])
     def test_non_finite_source_rejected(self, bc, bad):
         h = math.pi / 8
 
@@ -186,6 +199,14 @@ class TestGridAndAssembly:
             return out
         with pytest.raises(ParameterError, match="non-finite"):
             assemble(FdmProblem(d=1, n=8, k=1, rhs_sampler=f, bc=bc))
+
+    @pytest.mark.parametrize("bc, trig", [("neumann", np.cos), ("dirichlet", np.sin)])
+    def test_overflowing_fold_rejected(self, bc, trig):
+        # every sample is finite, but the fold's sums of mirror pairs overflow
+        h = math.pi / 4
+        p = FdmProblem(d=1, n=4, k=1, bc=bc, rhs_sampler=lambda x: 1.5e308 * trig(x + h / 2))
+        with np.errstate(over="ignore"), pytest.raises(ParameterError, match="non-finite"):
+            assemble(p)
 
     def test_dirichlet_matrix_is_restricted_kron_sum(self):
         n, k = 6, 1
@@ -315,6 +336,22 @@ class TestSolvePaths:
             solve(assemble(p), method="cg")
         assert 1e-20 < err.value.residual < 1e-12
 
+    def test_cg_raises_on_a_non_finite_residual(self):
+        # ||b||^2 overflows in CG's own inner products
+        f = lambda x, y: -2e200 * np.sin(x) * np.sin(y)
+        system = assemble(FdmProblem(d=2, n=8, k=2, rhs_sampler=f))
+        with pytest.raises(ConvergenceFailure, match="conjugate gradient") as err:
+            solve(system, method="cg")
+        assert math.isnan(err.value.residual)
+
+    def test_periodic_eigen_raises_on_a_non_finite_residual(self):
+        # the samples and their norm are finite; the FFT's sums overflow
+        system = assemble(FdmProblem(d=1, n=4, k=1, rhs_sampler=lambda x: 1e308 * np.cos(x)))
+        with (np.errstate(over="ignore", invalid="ignore"),
+              pytest.raises(ConvergenceFailure, match="eigenbasis division") as err):
+            solve(system)
+        assert not math.isfinite(err.value.residual)
+
     def test_cg_on_periodic_pins_mean(self):
         p = FdmProblem(d=1, n=8, k=1, rhs_sampler=lambda x: np.sin(2 * x))
         field = solve(assemble(p), method="cg")
@@ -394,6 +431,14 @@ class TestFastPathOracles:
         field = solve(dataclasses.replace(system, eig_axis=system.eig_axis * (1 + 1e-6)))
         assert field.residual <= fdm.CG_TOL
         assert np.linalg.norm(field.values - exact) <= 1e-10 * np.linalg.norm(exact)
+
+    def test_restricted_transform_raises_on_a_non_finite_residual(self):
+        system = with_random_rhs("dirichlet", 1, 4, 1, 0)
+        huge = dataclasses.replace(system, rhs=np.array([1e308, -1e308, 1e308, -1e308]))
+        with (np.errstate(over="ignore", invalid="ignore"),
+              pytest.raises(ConvergenceFailure, match="eigenbasis division stopped") as err):
+            solve(huge)
+        assert math.isnan(err.value.residual)
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     def test_restricted_transform_raises_below_rounding_floor(self, bc, monkeypatch):
@@ -544,17 +589,18 @@ class TestPeriodicPasses:
     @BOUNDED
     @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.sampled_from([1, MANY]),
            st.data())
-    def test_cg_builds_one_basis_and_keeps_its_bits(self, d, seed, cpus, data):
+    def test_cg_builds_no_basis_and_agrees_with_the_eigen_solve(self, d, seed, cpus, data):
+        # CG applies the circulant factor itself, so it checks the FFT path
+        # without sharing its transform or its spectrum
         n = data.draw(st.integers(2, (24, 12, 6)[d - 1]))
         system = with_random_rhs("periodic", d, n, data.draw(st.integers(1, min(3, n - 1))), seed)
-        with mock.patch.object(fdm, "_cpus", lambda: 1):
-            one = solve(system, method="cg")
-        with (mock.patch.object(fdm, "_cpus", lambda: cpus),
-              mock.patch.object(fdm, "_eigenbasis", wraps=fdm._eigenbasis) as built):
-            split = solve(system, method="cg")
-        assert built.call_count == 1 and split.iterations == one.iterations > 1
-        assert split.values.tobytes() == one.values.tobytes()
-        assert split.residual == one.residual
+        with mock.patch.object(fdm, "_cpus", lambda: cpus):
+            eigen = solve(system)
+            with mock.patch.object(fdm, "_eigenbasis", side_effect=AssertionError("a basis")):
+                cg = solve(system, method="cg")
+        assert cg.method == "cg" and cg.iterations > 1 and cg.residual <= fdm.CG_TOL
+        gap = 10 * condition_number(system.eig_axis, d) * fdm.CG_TOL * np.linalg.norm(eigen.values)
+        assert np.linalg.norm(cg.values - eigen.values) <= gap
 
     @pytest.mark.parametrize("d, n", [(1, 16), (2, 8), (3, 6)])
     def test_solve_reuses_the_assembled_mean_and_norm(self, d, n):
@@ -590,11 +636,32 @@ class TestPeriodicPasses:
         assert rep["l2_rel"] < 1e-3
 
     def test_overflowing_zero_mean_source_is_accepted(self):
-        # +-1e200 overflows the norm; every sample is finite and the mean is 0
+        # +-1e200 overflows the plain sum of squares, not the rescaled norm;
+        # every sample is finite and the mean is 0
         p = FdmProblem(d=2, n=4, k=1, rhs_sampler=lambda x, y: 1e200 * np.cos(4 * x))
         system = assemble(p)
-        assert fdm._norm(system.rhs) == math.inf
+        assert fdm._norm(system.rhs) == 8e200
         assert np.array_equal(np.abs(system.rhs), np.full(64, 1e200))
+
+    def test_norm_rescales_only_where_the_plain_sum_fails(self):
+        v = np.random.default_rng(3).normal(size=100)
+        assert fdm._norm(v) == math.sqrt(np.einsum("i,i->", v, v))
+        assert fdm._norm(np.full(4, 1e200)) == 2e200
+        assert fdm._norm(np.full(4, 1e-200)) == 2e-200
+        assert fdm._norm(np.zeros(3)) == 0.0 and fdm._norm(np.zeros(0)) == 0.0
+        assert math.isnan(fdm._norm(np.array([1e200, np.nan])))
+        assert fdm._norm(np.array([1e200, -np.inf])) == math.inf
+
+    def test_overflowing_source_with_a_mean_rejected(self):
+        # ||f||^2 overflows; the kernel check must still see the mean
+        for scale in (1e200, 1e300):
+            p = FdmProblem(d=2, n=8, k=2, rhs_sampler=lambda x, y: scale * (1 + np.cos(x)))
+            with pytest.raises(CompatibilityError, match="kernel component"):
+                assemble(p)
+
+    def test_overflowing_norm_leaves_the_residual_finite(self):
+        p = FdmProblem(d=2, n=8, k=2, rhs_sampler=lambda x, y: -2e200 * np.sin(x) * np.sin(y))
+        assert solve(assemble(p)).residual <= 1e-13
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_beside_an_overflowing_norm_rejected(self, bad):

@@ -83,6 +83,13 @@ def test_empty_matrix_header_only():
     ("1 1 1\n2 1 1.0 0.0\n", "outside"),
     ("1 1 1\n0 1 1.0 0.0\n", "outside"),
     ("1 1 1\n1 1 1.0\n", "malformed entry"),
+    ("2 x 1\n", "malformed header"),
+    ("-1 2 0\n", "negative size"),
+    ("1 1 1\n1.5 1 1.0 0.0\n", "malformed entry"),
+    ("1 1 1\n1 1 x 0.0\n", "malformed entry"),
+    ("1 1 1\n1 1 nan 0.0\n", "non-finite"),
+    ("1 1 1\n1 1 1.0 -inf\n", "non-finite"),
+    ("2 2 2\n1 1 1.0 0.0\n1 1 2.0 0.0\n", "repeated"),
 ])
 def test_rejections(text, match):
     with pytest.raises(ParameterError, match=match):

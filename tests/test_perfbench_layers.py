@@ -49,8 +49,11 @@ def test_work_counts_read_real_results(spans):
     field = fdm.solve(lattice)
     system = assemble_system(np.array([[1.0, 0.2], [0.2, 1.5]]), "chebyshev", 6,
                              np.ones(49))
-    assert spans._work_counts("fdm.assemble", lattice, None) == {
-        "fdm.matrix.nnz": lattice.matrix.nnz}
+    periodic = fdm.assemble(fdm.FdmProblem(d=2, n=8, k=2, rhs_sampler=lambda x, y: np.sin(x)))
+    for assembled in (lattice, periodic):   # every lattice stores its 1D factor
+        assert spans._work_counts("fdm.assemble", assembled, None) == {
+            "fdm.matrix.nnz": assembled.matrix.nnz}
+    assert periodic.matrix.nnz == 16 * 5
     assert spans._work_counts("fdm.solve", field, None) == {
         "fdm.solve.cg_iterations": field.iterations, "fdm.solve.residual_max": field.residual}
     assert spans._work_counts("spectral_system.assemble_system", system, None) == {
