@@ -16,10 +16,11 @@ inverse transform runs in the solve's own frequency cube.  Norms, means and
 extremes are taken over whole arrays, so every output keeps the bits of
 whole-cube numpy; the solve reuses the source's mean and norm that
 assemble took.  Every system stores its 1D axis factor, the order-2k
-circulant or its restricted image; restricted residuals and conjugate
-gradient, the cross-check, apply it along each axis.  The source and exact
-solution are sampled on read-only broadcast views of the coordinate lines,
-never on materialized meshgrids.
+circulant or its restricted image.  The restricted division and conjugate
+gradient, the cross-check, share one gate (_certified): the residual is that
+factor applied along each axis, tensor.refine refines on it, and it meets
+CG_TOL or raises.  The source and exact solution are sampled on read-only
+broadcast views of the coordinate lines, never on materialized meshgrids.
 
 Parameter selection follows the high-order accuracy estimate: the error of
 the order-2k scheme on a smooth solution is within
@@ -44,7 +45,7 @@ from .errors import CompatibilityError, ConvergenceFailure, ParameterError
 from .images import fold_vector, restrict
 from .laplacian import condition_number, eigenvalues_1d
 from .stencil import make_stencil
-from .tensor import along, axis_sum, kron_sum_apply
+from .tensor import along, axis_sum, kron_sum_apply, refine
 from .transforms import sector_apply
 
 __all__ = [
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 _BCS = ("periodic", "dirichlet", "neumann")
+KERNEL_BCS = ("periodic", "neumann")   # where L's kernel is the constant vector
 MEAN_RTOL = 1e-10
 CG_TOL = 1e-12
 
@@ -314,7 +316,8 @@ def assemble(p: FdmProblem) -> FdmSystem:
     their frequencies l = 1..n and l = 0..n-1 pick its eigenvalues out of
     the circulant ones.  A stored rhs with a non-finite entry is rejected,
     and so, where the operator kernel is the constant vector (periodic,
-    Neumann), is a component along it beyond MEAN_RTOL * ||f||.
+    Neumann), is a component along it beyond MEAN_RTOL * ||f||; where ||f||
+    passes the float range, both are read on f / max |f|.
     """
     s = make_stencil(p.k)
     lam = eigenvalues_1d(s, p.n)
@@ -331,19 +334,22 @@ def assemble(p: FdmProblem) -> FdmSystem:
         for axis in range(p.d):
             cube = fold_vector(cube, p.bc, axis=axis)
         lam = lam[1:p.n + 1] if p.bc == "dirichlet" else lam[:p.n]
-    # a finite norm vouches for every entry; a norm that is not finite (a NaN
-    # or inf entry, or finite ones past the float range) sends for the scan
     rhs = cube.reshape(-1)
     norm = _norm(rhs)
-    if not math.isfinite(norm) and not np.isfinite(rhs).all():
-        raise ParameterError("non-finite source values on the lattice")
-    mean = rhs.mean()
+    scale, unit, size = 1.0, rhs, norm
+    if not math.isfinite(norm):   # a NaN or inf entry, or finite ones past the float range
+        if not np.isfinite(rhs).all():
+            raise ParameterError("non-finite source values on the lattice")
+        scale = float(np.abs(rhs).max())
+        unit = rhs / scale
+        size = _norm(unit)
+    mean = float(unit.mean())
     kernel = abs(mean) * math.sqrt(rhs.size)
-    if p.bc != "dirichlet" and kernel > MEAN_RTOL * norm:
+    if p.bc in KERNEL_BCS and kernel > MEAN_RTOL * size:
         raise CompatibilityError(
-            f"{p.bc} rhs has kernel component {kernel:.3e} > {MEAN_RTOL:.0e} * ||f||")
+            f"{p.bc} rhs has kernel component {scale * kernel:.3e} > {MEAN_RTOL:.0e} * ||f||")
     return FdmSystem(problem=p, rhs=rhs, eig_axis=lam, matrix=matrix,
-                     rhs_stats=(rhs, mean, norm))
+                     rhs_stats=(rhs, scale * mean, norm))
 
 
 def _divide(basis, b: np.ndarray) -> np.ndarray:
@@ -372,40 +378,30 @@ def _divide(basis, b: np.ndarray) -> np.ndarray:
     return inverse(F)
 
 
-def _solve_restricted(system: FdmSystem) -> tuple:
-    """Eigenbasis division on a restricted lattice, under CG's contract.
+def _off_kernel(p: FdmProblem, v: np.ndarray) -> np.ndarray:
+    """v less its mean where L has the constant kernel (KERNEL_BCS), else v."""
+    return v - v.mean() if p.bc in KERNEL_BCS else v
 
-    The Neumann rhs is projected off the constant kernel as CG projects it.
-    The true residual b - A u comes from the per-axis operator, not from the
-    transform; the division is refined on it while its norm still falls, and
-    a final residual that does not meet ||r|| <= CG_TOL ||b|| (NaN
-    included) raises ConvergenceFailure.
+
+def _certified(system: FdmSystem, correct, failure) -> tuple:
+    """(u, relative residual): the restricted division or CG, refined and gated.
+
+    The rhs b and every residual b - (1/h^2) L u, computed by the per-axis
+    operator (FdmSystem.matvec), not the solver's own map, are taken off the
+    constant kernel.  correct(r, aim) approximates e in (1/h^2) L e = r; u
+    starts from correct(b, aim), aim = CG_TOL ||b||, and tensor.refine
+    improves it.  A residual above aim, or no finite relative one (||b||
+    overflows), raises ConvergenceFailure(failure(res)).
     """
     p = system.problem
-    basis = _eigenbasis(system)
-    b = np.asarray(system.rhs, dtype=float)
-    if p.bc == "neumann":
-        b = b - b.mean()
-
-    def residual(u):
-        r = b - system.matvec(u)
-        return r - r.mean() if p.bc == "neumann" else r
-
-    u = _divide(basis, b)
-    r = residual(u)
-    nb, rr, steps = _norm(b), _norm(r), 0
-    while rr > CG_TOL * nb:
-        u_next = u + _divide(basis, r)
-        r_next = residual(u_next)
-        rr_next = _norm(r_next)
-        if rr_next >= rr:
-            break
-        u, r, rr, steps = u_next, r_next, rr_next, steps + 1
-    res = rr / max(nb, 1e-300)
-    if not rr <= CG_TOL * nb:
-        raise ConvergenceFailure(
-            f"eigenbasis division stopped at residual {res:.3e} after {steps} "
-            f"refinement steps", residual=res)
+    b = _off_kernel(p, np.asarray(system.rhs, dtype=float))
+    nb = _norm(b)
+    aim = CG_TOL * nb
+    u, rr = refine(correct(b, aim), lambda u: _off_kernel(p, b - system.matvec(u)),
+                   lambda r: correct(r, aim), _norm, aim)
+    res = rr / max(nb, 1e-300) if nb < math.inf else math.nan
+    if not (rr <= aim and math.isfinite(res)):
+        raise ConvergenceFailure(failure(res), residual=res)
     return u, res
 
 
@@ -428,96 +424,78 @@ def _norm(v: np.ndarray) -> float:
     return scale * math.sqrt(_dot(w, w))
 
 
-def _solve_cg(system: FdmSystem) -> tuple:
-    """CG on the flipped operator (the Laplacian is negative semidefinite).
+def _solve_cg(system: FdmSystem) -> SolutionField:
+    """Conjugate gradient, refined and gated by _certified.
 
-    Periodic and Neumann operators have the constant kernel; the rhs and
-    every matvec are projected onto the zero-mean complement so the Krylov
-    space stays in the range.  The iteration cap comes from kappa over the
-    nonzero closed-form spectrum.  CG starts from zero and stops once the
-    true residual, not only the recurred one, meets ||r|| <= CG_TOL ||b||;
-    a residual that misses it or is not finite raises ConvergenceFailure.
+    Each correction is plain CG from zero on (1/h^2) L e = r / max |r|, so no
+    inner product overflows, every matvec off the constant kernel (on this
+    negative (semi)definite L its iterates are those on -L, negated exactly).
+    It stops once the recurred residual meets the aim, or once all corrections
+    together spend the cap, from kappa over the nonzero closed-form spectrum.
     """
     p = system.problem
-    singular = p.bc in ("periodic", "neumann")
     kappa = condition_number(system.eig_axis, p.d)
-    rhs = np.asarray(system.rhs, dtype=float)
-    if singular:
-        rhs = rhs - rhs.mean()
-
-    def mv(u):
-        out = system.matvec(u)
-        return -(out - out.mean()) if singular else -out
-
     cap = int(10.0 * math.sqrt(kappa) * math.log(1.0 / CG_TOL)) + 50
-    u = np.zeros_like(rhs)
-    r = -rhs
-    rr = _dot(r, r)
-    stop = CG_TOL * math.sqrt(rr)
-    iters, start = 0, math.inf
-    while math.sqrt(rr) > stop and iters < cap and rr < start:
-        start = rr
-        d = r.copy()
-        while math.sqrt(rr) > stop and iters < cap:
-            q = mv(d)
+    iters = 0
+
+    def correct(r, aim):
+        nonlocal iters
+        scale = float(np.abs(r).max()) or 1.0
+        r = r / scale
+        e, d, rr = np.zeros_like(r), r.copy(), _dot(r, r)
+        while math.sqrt(rr) > aim / scale and iters < cap:
+            q = _off_kernel(p, system.matvec(d))
             alpha = rr / _dot(d, q)
-            u += alpha * d
+            e += alpha * d
             r -= alpha * q
             rr, rr_prev = _dot(r, r), rr
             d *= rr / rr_prev
             d += r
             iters += 1
-        # restart from b - A u, which the recurred r drifts away from
-        r = -rhs - mv(u)
-        rr = _dot(r, r)
-    res = math.sqrt(rr) / max(math.sqrt(_dot(rhs, rhs)), 1e-300)
-    if not (math.sqrt(rr) <= stop and math.isfinite(res)):
-        raise ConvergenceFailure(
-            f"conjugate gradient stopped at residual {res:.3e} after {iters} "
-            f"iterations (cap {cap})",
-            residual=res)
-    return u, res, iters
+        return scale * e
+    u, res = _certified(system, correct, lambda res: (
+        f"conjugate gradient stopped at residual {res:.3e} after {iters} "
+        f"iterations (cap {cap})"))
+    return SolutionField(problem=p, values=u, method="cg", residual=res, iterations=iters)
 
 
 def solve(system: FdmSystem, method: str = "auto") -> SolutionField:
-    """Solve the assembled system; the solution mean is pinned to zero.
+    """Solve the assembled system, off the constant kernel where L has one.
 
     method "eigen" divides in the operator's eigenbasis: the real FFT for
     periodic lattices, which reports its residual ungated unless it is not
-    finite, and the DST-II/DCT-II for restricted ones, which meet CG's
-    1e-12 relative residual or raise.  "cg" runs conjugate gradient with
-    relative tolerance 1e-12 and is kept as the cross-check; "auto" is
-    "eigen".
+    finite, and the DST-II/DCT-II for restricted ones, which meet the 1e-12
+    relative residual or raise (_certified).  "cg" runs conjugate gradient
+    through the same gate, kept as the cross-check; "auto" is "eigen".  The
+    division zeroes the kernel frequency and CG works on the zero-mean
+    complement, so where L has the constant kernel the mean is 0 to rounding.
     """
     p = system.problem
-    if method in ("auto", "eigen"):
-        if p.bc != "periodic":
-            u, res = _solve_restricted(system)
-            return SolutionField(problem=p, values=u, method="eigen", residual=res)
-        basis = _eigenbasis(system)
-        u = _divide(basis, system.rhs)
-        # the residual A u - (f - mean f), subtracted in place into A u, slab by slab
-        shape, split = (2 * p.n,) * p.d, basis[-1]
-        f = system.rhs.reshape(shape)
-        stats = system.rhs_stats
-        mean, norm = (stats[1:] if stats is not None and stats[0] is system.rhs
-                      else (system.rhs.mean(), _norm(system.rhs)))
-        r = _apply(basis, u).reshape(shape)
-
-        def subtract(lo, hi):
-            np.subtract(r[lo:hi], f[lo:hi] - mean, out=r[lo:hi])
-        _each_slab(subtract, shape[0], split)
-        res = _norm(r) / max(norm, 1e-300)
-        if not math.isfinite(res):
-            raise ConvergenceFailure(f"eigenbasis division reached residual {res}", residual=res)
-        return SolutionField(problem=p, values=u, method="eigen", residual=res)
-    if method != "cg":
+    if method not in ("auto", "eigen", "cg"):
         raise ParameterError(f"method must be auto, eigen or cg, got {method!r}")
-    u, res, iters = _solve_cg(system)
-    if p.bc == "periodic":
-        u = u - u.mean()
-    return SolutionField(problem=p, values=u, method="cg", residual=res,
-                         iterations=iters)
+    if method == "cg":
+        return _solve_cg(system)
+    basis = _eigenbasis(system)
+    if p.bc != "periodic":
+        u, res = _certified(system, lambda r, aim: _divide(basis, r), lambda res: (
+            f"eigenbasis division stopped at residual {res:.3e} above {CG_TOL:.0e}"))
+        return SolutionField(problem=p, values=u, method="eigen", residual=res)
+    u = _divide(basis, system.rhs)
+    # the residual A u - (f - mean f), subtracted in place into A u, slab by slab
+    shape, split = (2 * p.n,) * p.d, basis[-1]
+    f = system.rhs.reshape(shape)
+    stats = system.rhs_stats
+    mean, norm = (stats[1:] if stats is not None and stats[0] is system.rhs
+                  else (system.rhs.mean(), _norm(system.rhs)))
+    r = _apply(basis, u).reshape(shape)
+
+    def subtract(lo, hi):
+        np.subtract(r[lo:hi], f[lo:hi] - mean, out=r[lo:hi])
+    _each_slab(subtract, shape[0], split)
+    res = _norm(r) / max(norm, 1e-300)
+    if not math.isfinite(res):
+        raise ConvergenceFailure(f"eigenbasis division reached residual {res}", residual=res)
+    return SolutionField(problem=p, values=u, method="eigen", residual=res)
 
 
 def error_report(s: SolutionField, exact=None) -> dict:
@@ -553,7 +531,7 @@ def error_report(s: SolutionField, exact=None) -> dict:
         else:
             work(slice(None))
 
-    centre = p.bc in ("periodic", "neumann")
+    centre = p.bc in KERNEL_BCS
     if centre:
         mean, centred = ue.mean(), np.empty_like(ue)
         each(lambda c: np.subtract(ue[c], mean, out=centred[c]))

@@ -6,7 +6,8 @@ twice, from the inverse SpectralSystem.inverse reads once off the closed
 1D block B the system stores: L^-1 itself by substitution for the Fourier
 block, so GMRES takes no step, and for the Chebyshev one the inverse of L's
 pure part in the form tensor.kron_sum_solver names.  No global
-factorization is formed.  Every solve certifies its residual on L itself.
+factorization is formed.  GMRES restarts in tensor.refine, and every solve
+certifies its residual on L itself.
 
 Node conventions (per axis, N = n + 1 points):
   fourier    x_l = 2l/N - 1,            basis functions e^{i pi (k - m) x},
@@ -33,7 +34,7 @@ from .errors import ConvergenceFailure, ParameterError
 from .expressions import builtin_expression
 from .spectral_ops import BASES
 from .spectral_system import SpectralSystem, assemble_system, condition_report
-from .tensor import along
+from .tensor import along, refine
 from .transforms import endpoint_weights, qct_apply, qsft_apply
 
 __all__ = [
@@ -165,11 +166,11 @@ def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
 
     The preconditioner M and its name come from system.inverse, the one
     reading of the system's closed block B, shared with its condition
-    report.  GMRES (_gmres_cycle) starts from M b and restarts from the true
-    residual while that falls and stays above GMRES_AIM * tol.  A
-    substitution lands below that aim and takes no step.  When a Chebyshev L
-    is its pure part (diagonal A) M takes at most a step or two; mixed terms
-    are corrections GMRES absorbs, at any d.  The certificate
+    report.  The solve starts from M b, and tensor.refine restarts GMRES
+    (_gmres_cycle) from the true residual while that falls and stays above
+    GMRES_AIM * tol.  A substitution lands below that aim and takes no step.
+    When a Chebyshev L is its pure part (diagonal A) M takes at most a step
+    or two; mixed terms are corrections GMRES absorbs, at any d.  The certificate
     ||L c - b|| / max(||b||, 1) <= tol is computed on the sparse L, never
     through M; a solve that stops above tol, or whose M is singular, raises
     ConvergenceFailure.
@@ -183,18 +184,15 @@ def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
     denom = max(float(np.linalg.norm(rhs)), 1.0)
     aim = GMRES_AIM * tol
     steps = cycles = 0
-    c = precond(rhs)
-    r = rhs - L @ c
-    residual = float(np.linalg.norm(r)) / denom
-    while residual > aim:
+
+    def cycle(r):
+        """M y for one GMRES cycle's y on L M y = r."""
+        nonlocal steps, cycles
         y, k = _gmres_cycle(lambda v: L @ precond(v), r, aim * denom, GMRES_RESTART)
         steps, cycles = steps + k, cycles + 1
-        trial = c + precond(y)
-        r_trial = rhs - L @ trial
-        fell = float(np.linalg.norm(r_trial)) / denom
-        if not fell < residual:
-            break
-        c, r, residual = trial, r_trial, fell
+        return precond(y)
+    c, residual = refine(precond(rhs), lambda c: rhs - L @ c, cycle,
+                         lambda r: float(np.linalg.norm(r)) / denom, aim)
     if not np.isfinite(residual) or residual > tol:
         raise ConvergenceFailure(
             f"GMRES residual {residual:.3e} stopped above {tol:.1e} after {steps} steps",

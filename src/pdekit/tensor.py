@@ -9,6 +9,8 @@ kron_sum_solver inverts a weighted sum of one block in a form it names: the
 block's sparse LU for one axis, else one eigendecomposition of the block,
 which also gives the adjoint inverse and the spectrum divided by.
 require_nonsingular is the one rule for the diagonal such an inverse divides by.
+refine is the one refinement loop every gated classical solve runs: the
+restricted lattice's eigenbasis division, conjugate gradient and GMRES.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = ["along", "kron", "kron_sum", "kron_sum_apply", "kron_sum_solver",
-           "SingularToRounding", "require_nonsingular", "axis_sum"]
+           "SingularToRounding", "require_nonsingular", "axis_sum", "refine"]
 
 EIGENBASIS_LIMIT = 1e-6  # largest eps ||V||_1 ||V^-1||_1 the "eig" form of kron_sum_solver takes
 
@@ -165,3 +167,23 @@ def axis_sum(values, d: int) -> np.ndarray:
     """
     per_axis = values if isinstance(values, list) else [values] * d
     return sum(along(v, j, d) for j, v in enumerate(per_axis))
+
+
+def refine(x, residual, correct, norm, aim):
+    """(x, norm(residual(x))): x refined on its true residual while that falls above aim.
+
+    Each step takes r = residual(x) and the trial x + correct(r), and keeps
+    the trial only if norm(residual(trial)) < norm(r), so a trial that does
+    not fall, NaN included, ends the loop untaken.  A start whose residual is
+    at most aim, or NaN, takes no step.  The caller gates the returned norm.
+    """
+    r = residual(x)
+    size = norm(r)
+    while size > aim:
+        trial = x + correct(r)
+        r_trial = residual(trial)
+        fell = norm(r_trial)
+        if not fell < size:
+            break
+        x, r, size = trial, r_trial, fell
+    return x, size

@@ -336,13 +336,24 @@ class TestSolvePaths:
             solve(assemble(p), method="cg")
         assert 1e-20 < err.value.residual < 1e-12
 
-    def test_cg_raises_on_a_non_finite_residual(self):
-        # ||b||^2 overflows in CG's own inner products
+    def test_cg_solves_a_source_whose_norm_squared_overflows(self):
+        # each correction scales its residual by its largest entry, so no
+        # inner product overflows
         f = lambda x, y: -2e200 * np.sin(x) * np.sin(y)
         system = assemble(FdmProblem(d=2, n=8, k=2, rhs_sampler=f))
-        with pytest.raises(ConvergenceFailure, match="conjugate gradient") as err:
-            solve(system, method="cg")
-        assert math.isnan(err.value.residual)
+        cg, eigen = solve(system, method="cg"), solve(system)
+        assert cg.residual <= fdm.CG_TOL
+        gap = 10 * condition_number(system.eig_axis, 2) * fdm.CG_TOL * fdm._norm(eigen.values)
+        assert fdm._norm(cg.values - eigen.values) <= gap
+
+    def test_cg_raises_on_a_non_finite_residual(self):
+        # ||b|| overflows, so no relative residual can be certified
+        system = with_random_rhs("dirichlet", 1, 4, 1, 0)
+        huge = dataclasses.replace(system, rhs=np.array([1e308, -1e308, 1e308, -1e308]))
+        with (np.errstate(over="ignore", invalid="ignore"),
+              pytest.raises(ConvergenceFailure, match="conjugate gradient stopped") as err):
+            solve(huge, method="cg")
+        assert not math.isfinite(err.value.residual)
 
     def test_periodic_eigen_raises_on_a_non_finite_residual(self):
         # the samples and their norm are finite; the FFT's sums overflow
@@ -658,6 +669,12 @@ class TestPeriodicPasses:
             p = FdmProblem(d=2, n=8, k=2, rhs_sampler=lambda x, y: scale * (1 + np.cos(x)))
             with pytest.raises(CompatibilityError, match="kernel component"):
                 assemble(p)
+
+    def test_kernel_check_reads_an_overflowing_source_scaled(self):
+        # the mean's sum and the norm both overflow; on f / max|f| neither does
+        p = FdmProblem(d=1, n=4, k=1, rhs_sampler=lambda x: 1e308 * (0.5 + np.cos(x)))
+        with pytest.raises(CompatibilityError, match="kernel component"):
+            assemble(p)
 
     def test_overflowing_norm_leaves_the_residual_finite(self):
         p = FdmProblem(d=2, n=8, k=2, rhs_sampler=lambda x, y: -2e200 * np.sin(x) * np.sin(y))

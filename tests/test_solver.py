@@ -187,6 +187,15 @@ def test_singular_system_raises():
     assert err.value.residual == math.inf
 
 
+def test_non_finite_residual_raises():
+    # ||b||^2 overflows, so the relative residual reads NaN and certifies nothing
+    system = assemble_system(np.eye(1), "fourier", 4, 1e300 * np.cos(np.arange(5)))
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.raises(ConvergenceFailure, match="GMRES residual") as err):
+        solve_system(system)
+    assert not math.isfinite(err.value.residual)
+
+
 def lu_oracle(system):
     """The sparse-LU solve of L, its certified residual and a bound on ||L^-1||_2."""
     L = system.L.tocsc().astype(complex)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import pdekit.spectral_system as spectral_system
 from conftest import assert_same_csr, spectral_systems
-from pdekit.errors import BudgetExceeded, DegenerateRhs, ParameterError
+from pdekit.errors import BudgetExceeded, ConvergenceFailure, DegenerateRhs, ParameterError
 from pdekit.solver import solve_system
 from pdekit.spectral_ops import boundary_row_indices, diff_matrix, multi_diff, random_gdd
 from pdekit.spectral_system import (
@@ -447,6 +447,25 @@ def test_condition_report_of_an_exactly_singular_factor():
     assert rep["sigma_min"] == 0.0 and rep["kappa"] == math.inf and rep["lu_nnz"] is None
     assert rep["sigma_max"] == pytest.approx(dense_singular_values(system)[0], rel=1e-12)
     assert rep["within_poisson"] is False and rep["within_general"] is False
+
+
+def test_a_singular_pure_part_refuses_the_preconditioner_not_the_report():
+    # t places A_11 lam_pos + t lam_neg = 0 on two real eigenvalues of B, so the
+    # pure part is singular; the mixed term keeps L itself regular
+    n = 8
+    lam = np.linalg.eigvals(assemble_system(np.eye(1), "chebyshev", n, np.zeros(n + 1))
+                            .block.toarray())
+    real = lam[lam.imag == 0].real
+    t = -real.max() / real.min()
+    system = assemble_system(np.array([[1.0, 0.1], [0.1, t]]), "chebyshev", n,
+                             np.ones((n + 1) ** 2))
+    with pytest.raises(ConvergenceFailure, match="no preconditioner.*pure part of L"):
+        solve_system(system)
+    rep = condition_report(system)
+    want = dense_singular_values(system)
+    assert rep["method"] == "lanczos-splu" and math.isfinite(rep["kappa"])
+    assert rep["kappa"] == pytest.approx(want[0] / want[-1], rel=1e-8)
+    assert rep["min_eig_sum"] == 0.0
 
 
 def test_condition_report_needs_no_dense_svd(monkeypatch):

@@ -23,7 +23,7 @@ from pdekit.solver import analyze_values, synthesize_nodes
 from pdekit.spectral_ops import diff_matrix, multi_diff
 from pdekit.stencil import make_stencil
 from pdekit.tensor import (SingularToRounding, axis_sum, kron, kron_sum, kron_sum_apply,
-                           kron_sum_solver)
+                           kron_sum_solver, refine)
 from pdekit.transforms import (endpoint_weights, qct_matrix, qsft_apply, qsft_matrix,
                                sector_apply)
 
@@ -375,3 +375,44 @@ def test_lattice_kron_sums_match_numpy(d, n, k, bc):
     R = restrict(make_stencil(1), n, bc)
     assert np.allclose(kron_sum([system.matrix] * d).toarray(), np_kron_sum([R] * d) / h ** 2,
                        rtol=1e-15, atol=0)
+
+
+class TestRefine:
+    """refine's contract on the scalar equation 2 x = 1, residual 1 - 2 x."""
+
+    @staticmethod
+    def run(x, corrections, aim):
+        """refine with correct(r) taken from the list in turn; also the residuals it was handed."""
+        handed = []
+
+        def correct(r):
+            handed.append(r)
+            return corrections[len(handed) - 1](r)
+        return refine(x, lambda x: 1.0 - 2.0 * x, correct, abs, aim), handed
+
+    def test_falling_trials_are_taken_until_the_aim(self):
+        (x, size), handed = self.run(0.0, [lambda r: 0.4 * r] * 10, 1e-3)
+        # each step leaves a fifth of the residual: 1, 0.2, 0.04, 0.008, 0.0016, 0.00032
+        assert len(handed) == 5 and size <= 1e-3
+        assert size == abs(1.0 - 2.0 * x)
+
+    def test_a_nan_trial_is_not_taken(self):
+        (x, size), handed = self.run(0.0, [lambda r: 0.4 * r, lambda r: math.nan], 1e-3)
+        assert (x, size) == (0.4, abs(1.0 - 2.0 * 0.4)) and len(handed) == 2
+
+    def test_a_trial_that_does_not_fall_ends_the_loop_untaken(self):
+        # from 0.4 (residual 0.2), the trial 0.4 + 0.3 leaves residual -0.4
+        (x, size), handed = self.run(0.0, [lambda r: 0.4 * r, lambda r: 1.5 * r,
+                                           lambda r: 0.4 * r], 1e-3)
+        assert x == 0.4 and len(handed) == 2
+        (x, size), handed = self.run(0.0, [lambda r: 0.0], 1e-3)
+        assert (x, size) == (0.0, 1.0) and len(handed) == 1
+
+    @pytest.mark.parametrize("aim", [1.0, 2.0])
+    def test_a_start_at_or_below_the_aim_takes_no_step(self, aim):
+        (x, size), handed = self.run(0.0, [], aim)
+        assert (x, size) == (0.0, 1.0) and handed == []
+
+    def test_a_nan_start_takes_no_step(self):
+        (x, size), handed = self.run(math.nan, [], 1e-3)
+        assert math.isnan(x) and math.isnan(size) and handed == []
