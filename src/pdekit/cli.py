@@ -303,23 +303,28 @@ def _solve_fdm(spec, outdir, fmt) -> int:
 def _write_solution(outdir, fmt, basis, n, d, values, meta) -> None:
     out = Path(outdir) if outdir else Path(".")
     out.mkdir(parents=True, exist_ok=True)
-    meta_path = out / "metadata.json"
-    meta_path.write_text(json.dumps(meta, indent=2, default=str) + "\n")
     values = np.asarray(values).reshape(-1)
-    if fmt == "json":
+    name = f"solution.{fmt}"
+    if fmt == "npy":
+        # the grid in C order, so flat index i is row index = i of the text formats
+        shape = (2 * n if basis == "lattice" else n + 1,) * d
+        dtype = complex if np.iscomplexobj(values) else float
+        np.save(out / name, np.asarray(values, dtype=dtype).reshape(shape))
+    elif fmt == "json":
         payload = {"basis": basis, "n": n, "d": d,
                    "values_re": values.real.tolist(),
                    "values_im": values.imag.tolist() if np.iscomplexobj(values) else None}
-        (out / "solution.json").write_text(json.dumps(payload) + "\n")
+        (out / name).write_text(json.dumps(payload) + "\n")
     else:
         # the rows csv.writer writes for [i, repr(re), repr(im)]: float reprs need no quoting
         re = values.real.astype(float).tolist()
         im = values.imag.tolist() if np.iscomplexobj(values) else repeat(0.0)
-        with open(out / "solution.csv", "w", newline="") as fh:
+        with open(out / name, "w", newline="") as fh:
             fh.write("index,re,im\r\n")
             fh.writelines(f"{i},{r!r},{m!r}\r\n" for i, r, m in zip(count(), re, im))
-    ext = "json" if fmt == "json" else "csv"
-    print(f"wrote {out}/solution.{ext} and {out}/metadata.json")
+    meta = dict(meta, solution_file=name)
+    (out / "metadata.json").write_text(json.dumps(meta, indent=2, default=str) + "\n")
+    print(f"wrote {out}/{name} and {out}/metadata.json")
     print(json.dumps(meta, indent=2, default=str))
 
 
@@ -358,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p3.add_argument("--spec", help="JSON problem spec")
     p3.add_argument("--example", help=f"built-in example: {', '.join(sorted(EXAMPLES))}")
     p3.add_argument("--out", help="artifact directory (default: current)")
-    p3.add_argument("--format", choices=("csv", "json"), default="csv")
+    p3.add_argument("--format", choices=("npy", "csv", "json"), default="npy",
+                    help="solution file: binary solution.npy (default) or text "
+                         "solution.csv / solution.json; sweep tables stay text")
     p3.set_defaults(fn=cmd_solve)
     return parser
 

@@ -173,7 +173,10 @@ def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
     or two; mixed terms are corrections GMRES absorbs, at any d.  The certificate
     ||L c - b|| / max(||b||, 1) <= tol is computed on the sparse L, never
     through M; a solve that stops above tol, or whose M is singular, raises
-    ConvergenceFailure.
+    ConvergenceFailure.  Where ||b|| overflows, the solve runs on b / 2^e,
+    exactly scaled so that its largest real or imaginary part lies in
+    [1, 2), and c is scaled back: the relative residual is the same, and a
+    c that overflows raises ConvergenceFailure with it.
     """
     L = system.L
     rhs = np.asarray(system.rhs)
@@ -181,7 +184,14 @@ def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
         precond, _, method, _ = system.inverse
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"no preconditioner for L: {exc}", residual=math.inf) from exc
-    denom = max(float(np.linalg.norm(rhs)), 1.0)
+    with np.errstate(over="ignore"):
+        denom = float(np.linalg.norm(rhs))
+    e = 0
+    if denom == math.inf:
+        e = math.frexp(max(np.abs(rhs.real).max(), np.abs(rhs.imag).max()))[1] - 1
+        rhs = rhs * math.ldexp(1.0, -e)
+        denom = float(np.linalg.norm(rhs))
+    denom = max(denom, 1.0)
     aim = GMRES_AIM * tol
     steps = cycles = 0
 
@@ -197,6 +207,13 @@ def solve_system(system: SpectralSystem, tol: float = 1e-12) -> SolveResult:
         raise ConvergenceFailure(
             f"GMRES residual {residual:.3e} stopped above {tol:.1e} after {steps} steps",
             residual=residual)
+    if e:
+        with np.errstate(over="ignore"):
+            c = c * math.ldexp(1.0, e)
+        if not np.isfinite(c).all():
+            raise ConvergenceFailure(
+                f"GMRES residual {residual:.3e} met {tol:.1e}, but the coefficients "
+                f"overflow when scaled back by 2^{e}", residual=residual)
     return SolveResult(system=system, coeffs=c, residual=residual, iterations=steps,
                        preconditioner=method, restarts=max(cycles - 1, 0))
 

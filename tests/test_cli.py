@@ -6,14 +6,18 @@ Everything drives main(argv) in process; artifacts land in tmp_path.
 import csv
 import io
 import json
+import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pdekit.spectral_ops as spectral_ops
 import pdekit.spectral_system as spectral_system
-from pdekit.cli import EXAMPLES, SUITES, _write_solution, main
+from pdekit.cli import EXAMPLES, SUITES, _write_solution, build_parser, main
 from pdekit.golden import GOLDEN_NAMES, generate_golden
 from pdekit.matrixio import read_coordinate
 from pdekit.solver import manufactured_problem
@@ -32,6 +36,14 @@ class TestEntryPoints:
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == 0
         assert "pdekit" in capsys.readouterr().out
+
+    def test_module_runs_from_a_checkout(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "pdekit", "--help"],
+                              env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0
+        assert "usage: pdekit" in proc.stdout
 
     def test_suite_names_pinned(self):
         assert SUITES == ("fdm_kappa", "svd_fourier", "svd_chebyshev",
@@ -122,10 +134,21 @@ class TestSolveSpectral:
         assert meta["errors"]["l2_rel"] < 1e-8
         assert meta["residual"] < 1e-10
         assert meta["kappa"] > 1.0
+        assert meta["solution_file"] == "solution.npy"
+        assert not (tmp_path / "solution.csv").exists()
+        values = np.load(tmp_path / "solution.npy")
+        assert values.shape == (17, 17)
+        assert np.isfinite(values.real).all()
+        # the text form stays one flag away
+        assert main(["solve", "--example", "poisson-2d-cheb", "--out", str(tmp_path),
+                     "--format", "csv"]) == 0
+        capsys.readouterr()
         rows = read_csv(tmp_path / "solution.csv")
         assert len(rows) == 17 * 17
         assert list(rows[0]) == ["index", "re", "im"]
         assert all(np.isfinite(float(r["re"])) for r in rows)
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["solution_file"] == "solution.csv"
 
     def test_json_format(self, tmp_path, capsys):
         assert main(["solve", "--example", "poisson-2d-cheb",
@@ -360,17 +383,68 @@ COMPLEX_EDGES = np.array(EDGE_VALUES, dtype=complex)
 COMPLEX_EDGES.imag = -np.array(EDGE_VALUES[::-1])   # set apart: 1j * inf computes inf * 0
 
 
-@pytest.mark.parametrize("values", [
+SOLUTION_CASES = [
     np.array(EDGE_VALUES),
     COMPLEX_EDGES,
     np.array([-0.0 - 0.0j, 0.0 - 0.0j, -0.0 + 0.0j]),
     np.arange(7),
     np.random.default_rng(5).normal(size=300) * 10.0 ** np.arange(-150, 150),
-], ids=["real", "complex", "signed-zeros", "integers", "exponents"])
+]
+SOLUTION_IDS = ["real", "complex", "signed-zeros", "integers", "exponents"]
+
+
+@pytest.mark.parametrize("values", SOLUTION_CASES, ids=SOLUTION_IDS)
 def test_solution_csv_matches_csv_writer(values, tmp_path, capsys):
     _write_solution(tmp_path, "csv", "chebyshev", 2, 1, values, {})
     capsys.readouterr()
     assert (tmp_path / "solution.csv").read_bytes() == csv_writer_bytes(values)
+
+
+def read_npy_header(path):
+    """(shape, fortran_order, bytes before the data) of a version 1.0 .npy file."""
+    with open(path, "rb") as fh:
+        assert np.lib.format.read_magic(fh) == (1, 0)
+        shape, fortran, _ = np.lib.format.read_array_header_1_0(fh)
+        return shape, fortran, fh.tell()
+
+
+@pytest.mark.parametrize("values", SOLUTION_CASES, ids=SOLUTION_IDS)
+def test_solution_npy_round_trips(values, tmp_path, capsys):
+    default = build_parser().parse_args(["solve"]).format
+    npy, text = tmp_path / "npy", tmp_path / "csv"
+    # one axis of n + 1 Chebyshev nodes holds every value
+    _write_solution(npy, default, "chebyshev", values.size - 1, 1, values, {})
+    _write_solution(text, "csv", "chebyshev", values.size - 1, 1, values, {})
+    capsys.readouterr()
+    assert not (npy / "solution.csv").exists()
+    assert json.loads((npy / "metadata.json").read_text()) == {"solution_file": "solution.npy"}
+    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+    got = np.load(npy / "solution.npy")
+    assert got.shape == (values.size,) and got.dtype == dtype
+    assert got.tobytes() == np.asarray(values, dtype=dtype).tobytes()
+    shape, fortran, offset = read_npy_header(npy / "solution.npy")
+    assert shape == got.shape and not fortran
+    assert (npy / "solution.npy").stat().st_size == offset + dtype().itemsize * values.size
+    rows = read_csv(text / "solution.csv")
+    assert [int(r["index"]) for r in rows] == list(range(values.size))
+    for column, want in (("re", got.real), ("im", got.imag)):
+        read = np.array([float(r[column]) for r in rows])
+        assert np.array_equal(read, want, equal_nan=True)
+        # the text keeps every sign, zeros included; a NaN's sign it drops
+        assert np.array_equal(np.signbit(read) | np.isnan(read),
+                              np.signbit(want) | np.isnan(want))
+
+
+@pytest.mark.parametrize("basis, n, d, shape", [
+    ("lattice", 4, 3, (8, 8, 8)), ("chebyshev", 4, 2, (5, 5)), ("fourier", 6, 1, (7,))])
+def test_solution_npy_has_the_grid_shape(basis, n, d, shape, tmp_path, capsys):
+    values = np.arange(math.prod(shape)) * (1 + 2j)
+    _write_solution(tmp_path, "npy", basis, n, d, values, {})
+    capsys.readouterr()
+    got = np.load(tmp_path / "solution.npy")
+    assert got.shape == shape and got.dtype == np.complex128
+    # C order: flat index i is the text formats' row index = i
+    assert np.array_equal(got.reshape(-1), values)
 
 
 class TestSolveFdm:
@@ -387,7 +461,13 @@ class TestSolveFdm:
         assert meta["method"] == "fdm" and meta["solver"] == "eigen"
         assert meta["errors"]["l2_rel"] == pytest.approx(1.646e-5, rel=0.05)
         assert meta["kappa"] > 1.0
-        assert len(read_csv(tmp_path / "solution.csv")) == 32
+        assert meta["solution_file"] == "solution.npy"
+        assert np.load(tmp_path / "solution.npy").shape == (32,)
+        assert main(["solve", "--spec", str(path), "--out", str(tmp_path),
+                     "--format", "csv"]) == 0
+        capsys.readouterr()
+        rows = read_csv(tmp_path / "solution.csv")
+        assert len(rows) == 32 and list(rows[0]) == ["index", "re", "im"]
 
     def test_sweep_writes_rows(self, tmp_path, capsys):
         spec = {"method": "fdm", "d": 1, "n": [8, 16], "k": 1, "solution": "sin"}

@@ -187,13 +187,48 @@ def test_singular_system_raises():
     assert err.value.residual == math.inf
 
 
-def test_non_finite_residual_raises():
-    # ||b||^2 overflows, so the relative residual reads NaN and certifies nothing
+def assert_certifies_true_residual(system, result):
+    """The reported residual is ||L c - b|| / max(||b||, 1), both norms taken on
+    copies scaled by one power of two, so neither overflows; it meets the gate."""
+    b = np.asarray(system.rhs)
+    s = math.ldexp(1.0, -math.frexp(np.abs(b).max())[1])
+    true = np.linalg.norm((b - system.L @ result.coeffs) * s) / max(np.linalg.norm(b * s), s)
+    assert result.residual == pytest.approx(true, rel=1e-6, abs=1e-16)
+    assert result.residual <= 1e-12
+
+
+def test_overflowing_rhs_norm_is_certified():
+    # ||b||^2 overflows; the solve runs on an exactly scaled b, so the relative
+    # residual it certifies is the true one, never a NaN off an inf denominator
     system = assemble_system(np.eye(1), "fourier", 4, 1e300 * np.cos(np.arange(5)))
-    with (np.errstate(over="ignore", invalid="ignore"),
-          pytest.raises(ConvergenceFailure, match="GMRES residual") as err):
+    result = solve_system(system)
+    assert np.isfinite(result.coeffs).all()
+    assert_certifies_true_residual(system, result)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+@pytest.mark.parametrize("basis, d", [("fourier", 1), ("fourier", 2),
+                                      ("chebyshev", 1), ("chebyshev", 2)])
+def test_solve_certifies_its_true_residual_at_any_scale(basis, d, scale):
+    rng = np.random.default_rng(7)
+    fhat = rng.normal(size=7 ** d) + 1j * rng.normal(size=7 ** d)
+    system = assemble_system(np.eye(d), basis, 6, scale * fhat)
+    try:
+        result = solve_system(system)
+    except ConvergenceFailure as err:
+        assert math.isfinite(err.residual) and f"{err.residual:.3e}" in str(err)
+        return
+    assert_certifies_true_residual(system, result)
+
+
+def test_coefficients_that_overflow_raise_with_a_finite_residual():
+    # ||b|| overflows and so does c = L^-1 b: no coefficients, but an honest residual
+    system = assemble_system(1e-8 * np.eye(2), "chebyshev", 6,
+                             1e305 * np.random.default_rng(7).normal(size=49))
+    with pytest.raises(ConvergenceFailure, match="overflow") as err:
         solve_system(system)
-    assert not math.isfinite(err.value.residual)
+    assert 0.0 <= err.value.residual <= 1e-12
+    assert f"{err.value.residual:.3e}" in str(err.value)
 
 
 def lu_oracle(system):
