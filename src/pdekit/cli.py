@@ -31,7 +31,8 @@ from .spectral_system import (assemble_system, certified_truncation_order,
 SUITES = tuple(suites.SUITES)
 # condition-report entries written to a spectral solve's metadata.json, as (key, name)
 REPORT_KEYS = (("min_eig_sum", "min_eig_sum"), ("kappa", "kappa"),
-               ("method", "kappa_method"), ("lu_nnz", "kappa_lu_nnz"))
+               ("method", "kappa_method"), ("lu_nnz", "kappa_lu_nnz"),
+               ("applications", "kappa_applications"))
 
 EXAMPLES = {
     "poisson-2d-cheb": {

@@ -319,30 +319,50 @@ def min_eig_sum(system) -> float:
     return float(np.abs(spectrum).min())
 
 
-def _sigma_max(op) -> float:
-    """Largest singular value of a LinearOperator: ARPACK Lanczos on op^H op (svds, k = 1).
+LANCZOS_TOL = 1e-13    # stopping residual of _sigma_max, relative to its Ritz value
+LANCZOS_CHUNK = 32     # rows _sigma_max adds to its Lanczos basis at a time
 
-    tol=0 asks for full precision and the start vector is seeded, so one
-    operator always gives the same bits.  A complex operator runs as its
-    real form [[Re, -Im], [Im, Re]], which has the same singular values, each
-    twice: ARPACK's real Lanczos takes any size, its complex Arnoldi needs at
-    least three rows.
+
+def _sigma_max(apply, adjoint, size: int, dtype) -> tuple[float, int]:
+    """Largest singular value of an operator, and its Lanczos steps: applications of op^H op.
+
+    Lanczos on x -> adjoint(apply(x)) in dtype, from the seeded start vector
+    default_rng(0).standard_normal(size), so one operator always gives the
+    same bits.  Each step reorthogonalizes fully, by two classical
+    Gram-Schmidt passes against the basis, which grows LANCZOS_CHUNK rows at
+    a time.  Step k reads the top eigenvalue theta of the tridiagonal T_k,
+    with unit eigenvector s, and stops once beta_k |s_k| <= LANCZOS_TOL theta,
+    on an exact breakdown (beta_k = 0) or after size steps.  Then theta <=
+    sigma_max^2 and some eigenvalue of op^H op lies within LANCZOS_TOL theta
+    of it, so sqrt(theta) is a singular value to LANCZOS_TOL / 2 relative.
+    Where the top eigenvalue stands a relative gap g above the next, it is
+    sigma_max to LANCZOS_TOL^2 / g relative, full precision for g >= 1e-10.
     """
-    import scipy.sparse.linalg as spla
+    from scipy.linalg import eigh_tridiagonal
 
-    if np.issubdtype(op.dtype, np.complexfloating):
-        m = op.shape[0]
-
-        def real_form(apply):
-            def split(x):
-                z = apply(x[:m] + 1j * x[m:])
-                return np.concatenate([z.real, z.imag])
-            return split
-
-        op = spla.LinearOperator((2 * m, 2 * m), matvec=real_form(op.matvec),
-                                 rmatvec=real_form(op.rmatvec), dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
-    return float(spla.svds(op, k=1, tol=0, v0=v0, return_singular_vectors=False)[0])
+    q = np.random.default_rng(0).standard_normal(size).astype(dtype)
+    q /= np.linalg.norm(q)
+    basis = np.empty((0, size), dtype)
+    alpha, beta = [], []
+    for k in range(size):
+        if k == basis.shape[0]:
+            basis = np.concatenate([basis, np.empty((min(LANCZOS_CHUNK, size - k), size), dtype)])
+        basis[k] = q
+        V = basis[:k + 1]
+        w = adjoint(apply(q))
+        h = 0
+        for _ in range(2):
+            c = (V @ w.conj()).conj()
+            w = w - c @ V
+            h = h + c
+        alpha.append(h[k].real)
+        theta, s = eigh_tridiagonal(alpha, beta, select="i", select_range=(k, k))
+        b = np.linalg.norm(w)
+        if b == 0 or b * abs(s[-1, 0]) <= LANCZOS_TOL * theta[0]:
+            break
+        beta.append(b)
+        q = w / b
+    return math.sqrt(max(theta[0], 0.0)), k + 1
 
 
 def block_inverse(system: SpectralSystem):
@@ -394,17 +414,23 @@ def _is_pure_part(system) -> bool:
 def condition_report(system) -> dict:
     """Extreme singular values of L, and the bounds they are measured against.
 
-    sigma_max comes from Lanczos on the sparse L, sigma_min = 1 / ||L^-1||_2
-    from Lanczos on L^-1; L is never made dense.  When the system's inverse
+    sigma_max comes from Lanczos on the sparse L and its stored adjoint,
+    sigma_min = 1 / ||L^-1||_2 from Lanczos on L^-1 (_sigma_max); L is never
+    made dense.  Each is a singular value to 5e-14 relative (LANCZOS_TOL / 2),
+    and the extreme one to full precision unless the two extreme squared
+    singular values agree to 1e-10 relative.  When the system's inverse
     (SpectralSystem.inverse) takes the "eig" form and L equals its pure part
     kron_sum([A_jj B]), L^-1 and L^-H are that form's per-axis maps
     ("lanczos-eig", lu_nnz None).  Otherwise they come from one sparse LU of
     L in its natural order, the least fill on these operators
     ("lanczos-splu", lu_nnz the factor's stored entries).  An exactly
-    singular factor, or an inverse refused as L singular to rounding (then
-    no LU runs), is a verdict that no estimator ran: method "singular",
-    sigma_min = 0, kappa = inf and lu_nnz None.  Systems above DENSE_LIMIT
-    rows raise BudgetExceeded.
+    singular factor (a zero L has one), or an inverse refused as L singular
+    to rounding (then no LU runs), is a verdict that no estimator ran on
+    L^-1: method "singular", sigma_min = 0, kappa = inf and lu_nnz None.
+    applications counts the Lanczos steps of both runs, each one product
+    with the operator and one with its adjoint.  Systems above DENSE_LIMIT
+    rows raise BudgetExceeded, and an L with a non-finite entry
+    ParameterError, before any Lanczos run.
     bound_poisson is (2n)^4; bound_general scales it by
     norm_sigma / (C * norm_star) when the operator is GDD-accepted.
     min_eig_sum is the near-singularity indicator (see min_eig_sum).
@@ -416,15 +442,16 @@ def condition_report(system) -> dict:
     if size > DENSE_LIMIT:
         raise BudgetExceeded(
             f"condition report of {size} rows exceeds DENSE_LIMIT={DENSE_LIMIT}")
-    smax = _sigma_max(spla.aslinearoperator(L))
+    _require_finite("L", L.data)
+    LH = L.conj().T.tocsr()
+    smax, applications = _sigma_max(lambda x: L @ x, lambda x: LH @ x, size, L.dtype)
     smin, method, lu_nnz = 0.0, "singular", None
     try:
         inverse, adjoint, form, _ = system.inverse
     except np.linalg.LinAlgError as refusal:
         form = "singular" if isinstance(refusal, SingularToRounding) else None
     if form == "eig" and _is_pure_part(system):
-        inverse = spla.LinearOperator(L.shape, matvec=inverse, rmatvec=adjoint, dtype=L.dtype)
-        smin, method = 1.0 / _sigma_max(inverse), "lanczos-eig"
+        method = "lanczos-eig"
     elif form != "singular":
         try:
             lu = spla.splu(L.tocsc(), permc_spec="NATURAL")
@@ -432,10 +459,11 @@ def condition_report(system) -> dict:
             if "singular" not in str(exc):
                 raise
         else:
-            inverse = spla.LinearOperator(L.shape, matvec=lu.solve, dtype=L.dtype,
-                                          rmatvec=lambda x: lu.solve(x, trans="H"))
-            smin, method = 1.0 / _sigma_max(inverse), "lanczos-splu"
-            lu_nnz = lu.L.nnz + lu.U.nnz
+            inverse, adjoint = lu.solve, lambda x: lu.solve(x, trans="H")
+            method, lu_nnz = "lanczos-splu", lu.L.nnz + lu.U.nnz
+    if method != "singular":
+        s, steps = _sigma_max(inverse, adjoint, size, L.dtype)
+        smin, applications = 1.0 / s, applications + steps
     kappa = smax / smin if smin > 0 else math.inf
     bound_poisson = float((2 * system.n) ** 4)
     gdd = system.gdd
@@ -453,4 +481,5 @@ def condition_report(system) -> dict:
         "min_eig_sum": min_eig_sum(system),
         "method": method,
         "lu_nnz": lu_nnz,
+        "applications": applications,
     }

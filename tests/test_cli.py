@@ -201,7 +201,7 @@ class TestSolveSpectral:
                      "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         meta = json.loads((tmp_path / "metadata.json").read_text())
-        assert not {"kappa", "kappa_method", "kappa_lu_nnz"} & set(meta)
+        assert not {"kappa", "kappa_method", "kappa_lu_nnz", "kappa_applications"} & set(meta)
         assert meta["residual"] < 1e-10
         # the near-singularity indicator needs no condition report
         assert meta["min_eig_sum"] > 0.0
@@ -264,9 +264,10 @@ class TestSolveSpectral:
         system, _ = manufactured_problem("exp-sin", np.array(spec["A"]), "chebyshev", 12)
         assert meta["min_eig_sum"] == spectral_system.min_eig_sum(system)
         report = spectral_system.condition_report(system)
-        assert keys[keys.index("kappa"):keys.index("kappa") + 3] == [
-            "kappa", "kappa_method", "kappa_lu_nnz"]
+        assert keys[keys.index("kappa"):keys.index("kappa") + 4] == [
+            "kappa", "kappa_method", "kappa_lu_nnz", "kappa_applications"]
         assert meta["kappa"] == report["kappa"]
+        assert meta["kappa_applications"] == report["applications"] > 0
         assert meta["kappa_method"] == "lanczos-splu"
         assert meta["kappa_lu_nnz"] == report["lu_nnz"] >= system.L.nnz
 
@@ -281,6 +282,22 @@ class TestSolveSpectral:
         system, _ = manufactured_problem("exp-sin", np.array(spec["A"]), "chebyshev", 12)
         assert meta["kappa"] == spectral_system.condition_report(system)["kappa"]
         assert meta["kappa_method"] == "lanczos-eig" and meta["kappa_lu_nnz"] is None
+
+    @pytest.mark.parametrize("spec", [
+        {"method": "spectral", "basis": "chebyshev", "d": 2, "n": 12,
+         "A": [[1.0, 0.3], [0.3, 1.0]], "solution": "exp-sin"},
+        {"method": "spectral", "basis": "fourier", "d": 2, "n": 12, "solution": "exp-sin-pi"}])
+    def test_kappa_applications_repeat_exactly(self, spec, tmp_path, capsys):
+        # a count, not a time: two runs of one spec write the same kappa_applications
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        metas = []
+        for run in ("a", "b"):
+            assert main(["solve", "--spec", str(path), "--out", str(tmp_path / run)]) == 0
+            capsys.readouterr()
+            metas.append(json.loads((tmp_path / run / "metadata.json").read_text()))
+        assert metas[0]["kappa_applications"] == metas[1]["kappa_applications"] > 1
+        assert metas[0]["kappa"] == metas[1]["kappa"]
 
     def test_singular_system_is_runtime_failure(self, tmp_path, capsys):
         spec = {"method": "spectral", "basis": "chebyshev", "d": 3,

@@ -421,7 +421,7 @@ def test_condition_report_matches_dense_svd_oracle(system):
 
 @pytest.mark.parametrize("basis, n", [("fourier", 1), ("fourier", 2), ("chebyshev", 2)])
 def test_condition_report_of_the_smallest_systems(basis, n):
-    # two and three rows: ARPACK's complex Arnoldi needs three, the real form any size
+    # two and three rows: the Lanczos runs end after at most size steps
     system = assemble_system(np.diag([1.3]), basis, n, np.zeros(n + 1))
     rep = condition_report(system)
     sv = dense_singular_values(system)
@@ -478,6 +478,135 @@ def test_condition_report_needs_no_dense_svd(monkeypatch):
     rep = condition_report(system)
     assert rep["kappa"] == pytest.approx(want[0] / want[-1], rel=1e-10)
     assert rep["method"] == "lanczos-splu" and rep["lu_nnz"] >= system.L.nnz
+
+
+def sigma_max_of(M):
+    """_sigma_max of a dense matrix M: (sigma, applications)."""
+    return spectral_system._sigma_max(lambda x: M @ x, lambda x: M.conj().T @ x,
+                                      M.shape[0], M.dtype)
+
+
+def unitary(rng, m, complex_):
+    Z = rng.standard_normal((m, m)) + (1j * rng.standard_normal((m, m)) if complex_ else 0)
+    return np.linalg.qr(Z)[0]
+
+
+@st.composite
+def lanczos_matrices(draw):
+    """Square real or complex matrices: random, rank-deficient, scaled identity, top cluster."""
+    kind = draw(st.sampled_from(["random", "rank-deficient", "identity", "cluster"]))
+    complex_ = draw(st.booleans())
+    m = draw(st.integers(1, 2)) if draw(st.booleans()) else draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "identity":
+        return rng.uniform(0.1, 10.0) * np.eye(m, dtype=complex if complex_ else float)
+    if kind == "cluster":
+        sv = np.sort(rng.uniform(0.1, 1.0, size=m))[::-1]
+        sv[0] = 1.0 + 1e-7
+        sv[1:2] = 1.0  # the top pair split by 1e-7
+        return unitary(rng, m, complex_) @ np.diag(sv) @ unitary(rng, m, complex_).conj().T
+    rank = m if kind == "random" else int(rng.integers(0, m))
+    M = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, m))
+    if complex_:
+        M = M + 1j * (rng.standard_normal((m, rank)) @ rng.standard_normal((rank, m)))
+    return M
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(lanczos_matrices())
+def test_sigma_max_matches_dense_svd_oracle(M):
+    sigma, applications = sigma_max_of(M)
+    want = np.linalg.svd(M, compute_uv=False)[0]
+    assert sigma == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert 1 <= applications <= M.shape[0]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_sigma_max_of_a_scaled_identity_breaks_down_at_once(dtype):
+    for m in (1, 2, 17):
+        sigma, applications = sigma_max_of(2.5 * np.eye(m, dtype=dtype))
+        assert sigma == pytest.approx(2.5, rel=1e-15) and applications == 1
+
+
+def test_sigma_max_of_zero_is_zero():
+    assert sigma_max_of(np.zeros((5, 5))) == (0.0, 1)
+
+
+def test_sigma_max_resolves_a_top_cluster():
+    # the top pair 1e-7 apart: the Ritz value must pass the second to reach the first
+    rng = np.random.default_rng(4)
+    for complex_ in (False, True):
+        sv = np.concatenate([[1.0 + 1e-7, 1.0], np.linspace(0.9, 0.1, 38)])
+        M = unitary(rng, 40, complex_) @ np.diag(sv) @ unitary(rng, 40, complex_).conj().T
+        assert sigma_max_of(M)[0] == pytest.approx(1.0 + 1e-7, rel=1e-14)
+
+
+def test_sigma_max_repeats_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for M in (rng.standard_normal((23, 23)),
+              rng.standard_normal((23, 23)) + 1j * rng.standard_normal((23, 23))):
+        first = sigma_max_of(M)
+        assert all(sigma_max_of(M) == first for _ in range(3))
+
+
+def test_condition_report_runs_no_arpack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ARPACK called")
+    monkeypatch.setattr(spla, "svds", refuse)
+    monkeypatch.setattr(spla, "eigsh", refuse)
+    A = random_gdd(np.random.default_rng(3), 2)
+    cases = {"lanczos-splu": [assemble_system(A, basis, 10, np.zeros(121))
+                              for basis in ("fourier", "chebyshev")],
+             "lanczos-eig": [assemble_system(np.diag([1.0, 1.5]), "chebyshev", 10,
+                                             np.zeros(121))]}
+    for method, systems in cases.items():
+        for system in systems:
+            rep = condition_report(system)
+            want = dense_singular_values(system)
+            assert rep["method"] == method
+            assert rep["kappa"] == pytest.approx(want[0] / want[-1], rel=1e-10)
+
+
+def test_condition_report_counts_both_lanczos_runs(monkeypatch):
+    # applications sums the steps of the runs on L and on L^-1; a singular verdict runs one
+    sigma_max, steps = spectral_system._sigma_max, []
+
+    def counted(*args):
+        out = sigma_max(*args)
+        steps.append(out[1])
+        return out
+    monkeypatch.setattr(spectral_system, "_sigma_max", counted)
+    A = random_gdd(np.random.default_rng(11), 2)
+    for system, runs in ((assemble_system(A, "fourier", 12, np.zeros(13 ** 2)), 2),
+                         (assemble_system(A, "chebyshev", 12, np.zeros(13 ** 2)), 2),
+                         (assemble_system(np.eye(3), "chebyshev", 2, np.zeros(27)), 1)):
+        steps.clear()
+        rep = condition_report(system)
+        assert len(steps) == runs and rep["applications"] == sum(steps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("basis", ["fourier", "chebyshev"])
+def test_condition_report_rejects_a_non_finite_operator(basis, bad, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Lanczos ran")
+    system = assemble_system(np.diag([1.0, 2.0]), basis, 5, np.zeros(36))
+    system.L = system.L.copy()
+    system.L.data[7] = bad
+    monkeypatch.setattr(spectral_system, "_sigma_max", refuse)
+    with pytest.raises(ParameterError, match="L has non-finite entries"):
+        condition_report(system)
+
+
+@pytest.mark.parametrize("basis, d", [("fourier", 1), ("fourier", 2),
+                                      ("chebyshev", 1), ("chebyshev", 2)])
+def test_condition_report_of_a_zero_operator(basis, d):
+    system = assemble_system(np.diag([1.0, 2.0][:d]), basis, 5, np.zeros(6 ** d))
+    system.L = sp.csr_matrix(system.L.shape, dtype=system.L.dtype)
+    rep = condition_report(system)
+    assert rep["sigma_max"] == 0.0 and rep["sigma_min"] == 0.0
+    assert rep["method"] == "singular" and rep["kappa"] == math.inf and rep["lu_nnz"] is None
+    assert rep["within_poisson"] is False
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
